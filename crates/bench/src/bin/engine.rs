@@ -4,10 +4,15 @@
 //! The engine refactor's perf claims, pinned on the recording host:
 //!
 //! 1. **Build** — the CSR [`CandidateGraph`] (the structure every
-//!    solver now borrows) costs about the same to build as the dense
-//!    `|V|×|U|` similarity matrix it replaced on the solver hot paths,
-//!    serial and parallel — building it once per request is never the
-//!    bottleneck.
+//!    solver now borrows) against the dense `|V|×|U|` similarity matrix
+//!    it replaced on the solver hot paths, at 1 and 4 build workers. The
+//!    CSR build is the dearer one: the committed `BENCH_engine.json`
+//!    (1-core host, 100k candidates) records 9.54 ms against 1.78 ms
+//!    serial and 9.02 ms against 1.71 ms at 4 workers, about 5×. That is
+//!    under 7% of the 0.15 s MinCostFlow-GEACC solve but about 13× the
+//!    0.70 ms Greedy-GEACC kernel, so for Greedy the build dominates.
+//!    The two similarity-sorted views are the likely share of the gap;
+//!    attributing it exactly is still open.
 //! 2. **Dispatch** — every registered solver, run through
 //!    [`engine::solve_on`] over one shared graph on the fig3 default
 //!    workload (paper-default synthetic; the exact solvers run on a

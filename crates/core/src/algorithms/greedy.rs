@@ -27,7 +27,8 @@
 //! Neighbour streams are cursors over the shared
 //! [`CandidateGraph`]'s similarity-sorted rows and columns — the same
 //! (sim desc, id asc) yield order the chunked `NeighborOracle` streams
-//! produced, so the arrangement is unchanged, but the candidate index is
+//! produce (the `parallel_determinism` suite checks the two bit for
+//! bit), so the arrangement is unchanged, but the candidate index is
 //! built once per instance and shared with every other solver.
 
 use crate::engine::CandidateGraph;

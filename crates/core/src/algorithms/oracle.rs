@@ -1,25 +1,25 @@
-//! Incremental "next most-similar counterpart" streams.
+//! Incremental "next most-similar counterpart" streams over an
+//! [`Instance`], for the consumers that hold no candidate graph.
 //!
-//! Greedy-GEACC consumes, for every event `v`, the users of positive
-//! similarity in non-increasing `sim` order — and symmetrically for every
-//! user — but typically only a short, capacity-bounded prefix of each
-//! stream. Materializing all `|V|·|U|` candidate pairs up front would cost
-//! gigabytes at the paper's scalability setting (|V| = 1000,
-//! |U| = 100 000), so the default stream is *chunked*: each refill scans
+//! Localized repair in [`crate::dynamic`] and the
+//! [`OnlineArranger`][crate::algorithms::OnlineArranger] open streams
+//! for a few affected events or users and usually consume only a short,
+//! capacity-bounded prefix of each. Building the whole CSR
+//! [`CandidateGraph`][crate::engine::CandidateGraph] for that would cost
+//! `O(|V|·|U|)` per call, so each stream is *chunked*: a refill scans
 //! the counterpart side once (`O(n·d)`, contiguous memory), selects the
 //! next `chunk` candidates below the last yielded rank, and doubles
 //! `chunk` for the next refill. Consuming `K` neighbours costs
-//! `O(n·d·log K)` time and `O(K)` memory — the `σ(S)` the paper's
-//! complexity analysis abstracts over, with linear-scan constants that
-//! beat tree indexes at the paper's default d = 20 (see the
-//! `index_ablation` bench).
+//! `O(n·d·log K)` time and `O(K)` memory.
 //!
 //! Streams order candidates by similarity descending, ties by id
 //! ascending, and end at the first non-positive similarity (Definition 5
-//! forbids matching `sim ≤ 0` pairs).
+//! forbids matching `sim ≤ 0` pairs). That is the order of the candidate
+//! graph's `sorted_row` / `sorted_col` views, which Greedy-GEACC and
+//! ALNS walk, so repair and the batch solvers see the same candidate
+//! sequence; the `parallel_determinism` suite checks the two bit for bit.
 
 use crate::model::ids::{EventId, UserId};
-use crate::parallel::{par_map, Threads};
 use crate::Instance;
 
 /// Rank key in the descending-similarity order: `a` precedes `b` iff
@@ -62,18 +62,6 @@ impl ChunkedStream {
             chunk: INITIAL_CHUNK,
             exhausted: false,
         }
-    }
-
-    /// A stream with its first chunk already selected from `sims`.
-    ///
-    /// Yields exactly the same sequence as a lazy stream — the first
-    /// refill is a pure function of the similarity row — it just moves
-    /// that refill's `O(n)` scan to construction time so
-    /// [`NeighborOracle::prewarmed`] can run the scans in parallel.
-    fn prefilled(sims: &[f64]) -> Self {
-        let mut stream = ChunkedStream::new();
-        stream.refill(sims);
-        stream
     }
 
     /// Yield the next candidate, refilling from `sims` when the buffer
@@ -174,12 +162,7 @@ impl ChunkedStream {
 }
 
 /// Bidirectional neighbour oracle over an instance: every event streams
-/// users, every user streams events.
-///
-/// Streams are created lazily by default ([`NeighborOracle::new`]); when
-/// a consumer is known to touch most streams, [`NeighborOracle::prewarmed`]
-/// builds every stream's first chunk up front on a scoped-thread pool.
-/// Both constructors yield bit-identical streams.
+/// users, every user streams events. Streams are created on first use.
 #[derive(Debug, Clone)]
 pub struct NeighborOracle<'a> {
     inst: &'a Instance,
@@ -195,37 +178,6 @@ impl<'a> NeighborOracle<'a> {
             inst,
             event_streams: vec![None; inst.num_events()],
             user_streams: vec![None; inst.num_users()],
-            scratch: Vec::new(),
-        }
-    }
-
-    /// An oracle with every stream's first chunk selected eagerly, the
-    /// per-stream `O(n·d)` similarity scans spread over `threads`
-    /// workers.
-    ///
-    /// Each stream's first refill depends only on its own similarity row
-    /// or column, so the construction parallelizes embarrassingly and
-    /// the resulting streams are identical to lazily-built ones at every
-    /// thread count. Worth it when most streams will be consumed (e.g.
-    /// Greedy-GEACC, which opens all `|V| + |U|` of them); for sparse
-    /// access patterns prefer [`NeighborOracle::new`].
-    pub fn prewarmed(inst: &'a Instance, threads: Threads) -> Self {
-        let nv = inst.num_events();
-        let nu = inst.num_users();
-        let mut streams = par_map(threads, nv + nu, |i| {
-            let mut sims = Vec::new();
-            if i < nv {
-                inst.similarity_row(EventId(i as u32), &mut sims);
-            } else {
-                inst.similarity_column(UserId((i - nv) as u32), &mut sims);
-            }
-            Some(ChunkedStream::prefilled(&sims))
-        });
-        let user_streams = streams.split_off(nv);
-        NeighborOracle {
-            inst,
-            event_streams: streams,
-            user_streams,
             scratch: Vec::new(),
         }
     }
@@ -337,44 +289,6 @@ mod tests {
         assert_eq!(o.next_user_for_event(EventId(1)).unwrap().0, UserId(1));
         assert_eq!(o.next_user_for_event(EventId(0)).unwrap().0, UserId(1));
         assert_eq!(o.next_user_for_event(EventId(1)).unwrap().0, UserId(0));
-    }
-
-    #[test]
-    fn prewarmed_streams_match_lazy_streams() {
-        // Big enough that par_map actually forks (n ≥ 32) and streams
-        // need several refills.
-        let rows: Vec<Vec<f64>> = (0..6)
-            .map(|v| {
-                (0..40)
-                    .map(|u| ((v * 7 + u * 13) % 19) as f64 / 19.0)
-                    .collect()
-            })
-            .collect();
-        let inst = instance(&rows);
-        for t in [1, 2, 4, 8] {
-            let mut lazy = NeighborOracle::new(&inst);
-            let mut warm = NeighborOracle::prewarmed(&inst, Threads::new(t));
-            for v in inst.events() {
-                loop {
-                    let a = lazy.next_user_for_event(v);
-                    let b = warm.next_user_for_event(v);
-                    assert_eq!(a, b, "event {v:?}, threads {t}");
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-            for u in inst.users() {
-                loop {
-                    let a = lazy.next_event_for_user(u);
-                    let b = warm.next_event_for_user(u);
-                    assert_eq!(a, b, "user {u:?}, threads {t}");
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -180,5 +180,23 @@ mod tests {
         let err = from_json_str::<Instance>("y.json", &bad).unwrap_err();
         assert!(matches!(err, LoadError::Invalid { .. }), "{err:?}");
         assert!(err.to_string().contains("y.json: invalid value"), "{err}");
+
+        // Hostile documents must end as data errors, not as a panic or an
+        // allocation abort: a zero dimension, a dimension whose attribute
+        // buffer would need terabytes, and a matrix holding fewer values
+        // than its shape.
+        let values = json.find("\"values\":[").unwrap() + "\"values\":[".len();
+        let values_end = values + json[values..].find(']').unwrap();
+        let hostile = [
+            json.replacen("\"dim\":1,", "\"dim\":0,", 1),
+            json.replacen("\"dim\":1,", "\"dim\":1099511627776,", 1),
+            format!("{}0.5{}", &json[..values], &json[values_end..]),
+        ];
+        for doc in &hostile {
+            assert_ne!(&json, doc, "template lost its probe");
+            let err = from_json_str::<Instance>("z.json", doc).unwrap_err();
+            assert!(matches!(err, LoadError::Invalid { .. }), "{err:?}");
+            assert!(err.to_string().contains("z.json: invalid value"), "{err}");
+        }
     }
 }

@@ -26,6 +26,9 @@ pub enum InstanceError {
         matrix: (usize, usize),
         instance: (usize, usize),
     },
+    /// The similarity matrix holds a number of values other than the
+    /// `rows × cols` it declares (possible only in deserialized input).
+    MatrixLengthMismatch { shape: (usize, usize), len: usize },
     /// The conflict graph covers a different number of events.
     ConflictShapeMismatch { conflicts: usize, events: usize },
     /// Definition 4's assumption is violated: an event with no
@@ -58,6 +61,11 @@ impl std::fmt::Display for InstanceError {
                 "similarity matrix is {}×{} but instance has {} events × {} users",
                 matrix.0, matrix.1, instance.0, instance.1
             ),
+            InstanceError::MatrixLengthMismatch { shape, len } => write!(
+                f,
+                "similarity matrix declares {}×{} but holds {len} values",
+                shape.0, shape.1
+            ),
             InstanceError::ConflictShapeMismatch { conflicts, events } => write!(
                 f,
                 "conflict graph covers {conflicts} events but instance has {events}"
@@ -76,21 +84,25 @@ impl std::fmt::Display for InstanceError {
 }
 
 /// Definition 3 requires `sim ∈ [0, 1]`; reject matrices violating it
-/// (NaN fails the range test too).
+/// (NaN fails the range test too). A deserialized matrix's buffer length
+/// is untrusted, so it is checked against the declared shape first.
 fn validate_matrix_range(matrix: &SimMatrix) -> Result<(), InstanceError> {
-    for v in 0..matrix.num_events() {
-        for u in 0..matrix.num_users() {
-            let value = matrix.get(v, u);
-            if !(0.0..=1.0).contains(&value) {
-                return Err(InstanceError::SimilarityOutOfRange {
-                    event: v as u32,
-                    user: u as u32,
-                    value,
-                });
-            }
-        }
+    let shape = (matrix.num_events(), matrix.num_users());
+    let values = matrix.values();
+    if shape.0.checked_mul(shape.1) != Some(values.len()) {
+        return Err(InstanceError::MatrixLengthMismatch {
+            shape,
+            len: values.len(),
+        });
     }
-    Ok(())
+    match values.iter().position(|x| !(0.0..=1.0).contains(x)) {
+        Some(i) => Err(InstanceError::SimilarityOutOfRange {
+            event: (i / shape.1) as u32,
+            user: (i % shape.1) as u32,
+            value: values[i],
+        }),
+        None => Ok(()),
+    }
 }
 
 impl std::error::Error for InstanceError {}
@@ -252,18 +264,6 @@ impl Instance {
     #[inline]
     pub fn user_attrs(&self, u: UserId) -> &[f64] {
         self.user_attrs.point(u.index())
-    }
-
-    /// The raw event attribute [`PointSet`] (for spatial indexes).
-    #[inline]
-    pub fn event_points(&self) -> &PointSet {
-        &self.event_attrs
-    }
-
-    /// The raw user attribute [`PointSet`] (for spatial indexes).
-    #[inline]
-    pub fn user_points(&self) -> &PointSet {
-        &self.user_attrs
     }
 
     /// Interestingness value `sim(l_v, l_u)`.
@@ -649,37 +649,40 @@ impl Serialize for Instance {
     }
 }
 
+/// Copy one side's attribute rows into a flat [`PointSet`]. Every row's
+/// length is checked against `dim` before the `dim · rows` buffer is
+/// allocated, so a hostile `dim` fails here instead of in the allocator.
+/// The check reads only the row headers; the values are copied once.
+fn flatten_attrs(dim: usize, rows: &[Vec<f64>], side: &str) -> Result<PointSet, String> {
+    if let Some(row) = rows.iter().find(|row| row.len() != dim) {
+        return Err(format!(
+            "{side} attribute vector of length {}, expected {dim}",
+            row.len()
+        ));
+    }
+    let mut points = PointSet::with_capacity(dim, rows.len());
+    for row in rows {
+        points.push(row);
+    }
+    Ok(points)
+}
+
 impl<'de> Deserialize<'de> for Instance {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         use serde::de::Error;
         let dto = InstanceDto::deserialize(deserializer)?;
+        if dto.dim == 0 {
+            return Err(D::Error::custom("dimension must be at least 1"));
+        }
         if dto.event_attrs.len() != dto.event_caps.len()
             || dto.user_attrs.len() != dto.user_caps.len()
         {
             return Err(D::Error::custom("attribute/capacity list length mismatch"));
         }
-        let mut event_attrs = PointSet::with_capacity(dto.dim, dto.event_attrs.len());
-        for row in &dto.event_attrs {
-            if row.len() != dto.dim {
-                return Err(D::Error::custom(format!(
-                    "event attribute vector of length {}, expected {}",
-                    row.len(),
-                    dto.dim
-                )));
-            }
-            event_attrs.push(row);
-        }
-        let mut user_attrs = PointSet::with_capacity(dto.dim, dto.user_attrs.len());
-        for row in &dto.user_attrs {
-            if row.len() != dto.dim {
-                return Err(D::Error::custom(format!(
-                    "user attribute vector of length {}, expected {}",
-                    row.len(),
-                    dto.dim
-                )));
-            }
-            user_attrs.push(row);
-        }
+        let event_attrs =
+            flatten_attrs(dto.dim, &dto.event_attrs, "event").map_err(D::Error::custom)?;
+        let user_attrs =
+            flatten_attrs(dto.dim, &dto.user_attrs, "user").map_err(D::Error::custom)?;
         if dto.conflicts.num_events() != dto.event_caps.len() {
             return Err(D::Error::custom("conflict graph shape mismatch"));
         }

@@ -1,6 +1,6 @@
 //! The parallel runtime configuration and shared-incumbent primitive.
 //!
-//! The fork-join substrate ([`Threads`], [`par_map`], [`for_each_chunk`],
+//! The fork-join substrate ([`Threads`], [`par_map`], [`par_map_coarse`],
 //! [`split_ranges`]) lives in `geacc_index::parallel` (the dependency-free
 //! bottom of the workspace) and is re-exported here; this module adds the
 //! one synchronization primitive the algorithms need: [`SharedBest`], a
@@ -18,9 +18,7 @@
 //! could contain an improvement. Correctness therefore does not depend
 //! on memory-ordering subtleties, which is why `Relaxed` suffices.
 
-pub use geacc_index::parallel::{
-    for_each_chunk, par_map, par_map_coarse, split_ranges, Threads, THREADS_ENV,
-};
+pub use geacc_index::parallel::{par_map, par_map_coarse, split_ranges, Threads, THREADS_ENV};
 
 /// A worker must have at least this many dense similarity cells
 /// (`|V|·|U|` units) to be worth spawning; below it, fork-join overhead

@@ -156,6 +156,13 @@ impl SimMatrix {
         self.num_users
     }
 
+    /// The row-major value buffer. A deserialized matrix may hold any
+    /// number of values; instance validation checks the length against
+    /// the shape before anything indexes it.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// The interestingness value of `(event, user)`.
     #[inline]
     pub fn get(&self, event: usize, user: usize) -> f64 {

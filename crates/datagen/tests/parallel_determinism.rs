@@ -7,8 +7,9 @@
 //! attribute sampling → similarity model → conflict graph → algorithm.
 
 use geacc_core::algorithms::{greedy_with, prune_with, GreedyConfig, NeighborOracle, PruneConfig};
+use geacc_core::engine::CandidateGraph;
 use geacc_core::parallel::Threads;
-use geacc_core::{EventId, Instance, UserId};
+use geacc_core::{EventId, UserId};
 use geacc_datagen::{CapDistribution, SyntheticConfig};
 use proptest::prelude::*;
 
@@ -55,39 +56,38 @@ fn medium_config() -> impl Strategy<Value = SyntheticConfig> {
         })
 }
 
-/// Fully drain both oracles, asserting identical candidate streams.
-fn assert_streams_equal(inst: &Instance, a: &mut NeighborOracle, b: &mut NeighborOracle) {
-    for v in 0..inst.num_events() {
-        let v = EventId(v as u32);
-        loop {
-            let (x, y) = (a.next_user_for_event(v), b.next_user_for_event(v));
-            match (x, y) {
-                (Some((ux, sx)), Some((uy, sy))) => {
-                    assert_eq!(ux, uy, "event {v:?} stream diverged");
-                    assert_eq!(
-                        sx.to_bits(),
-                        sy.to_bits(),
-                        "event {v:?} similarity diverged"
-                    );
-                }
-                (None, None) => break,
-                (x, y) => panic!("event {v:?} stream lengths diverged: {x:?} vs {y:?}"),
-            }
-        }
+/// Assert that a drained oracle stream equals a sorted CSR slice: same
+/// ids, same similarity bits, same length.
+fn assert_stream_eq(
+    what: String,
+    streamed: impl Iterator<Item = (u32, f64)>,
+    csr: (&[u32], &[f64]),
+) {
+    let bits = |(id, sim): (u32, f64)| (id, sim.to_bits());
+    let streamed: Vec<(u32, u64)> = streamed.map(bits).collect();
+    let expected: Vec<(u32, u64)> = csr
+        .0
+        .iter()
+        .copied()
+        .zip(csr.1.iter().copied())
+        .map(bits)
+        .collect();
+    assert_eq!(
+        streamed, expected,
+        "{what} stream diverged from the candidate graph"
+    );
+}
+
+/// Fully drain `oracle`: every event's stream must be the graph's sorted
+/// row and every user's stream its sorted column.
+fn assert_oracle_matches_graph(graph: &CandidateGraph, oracle: &mut NeighborOracle) {
+    for v in (0..graph.num_events() as u32).map(EventId) {
+        let streamed = std::iter::from_fn(|| oracle.next_user_for_event(v)).map(|(u, s)| (u.0, s));
+        assert_stream_eq(format!("event {v:?}"), streamed, graph.sorted_row(v));
     }
-    for u in 0..inst.num_users() {
-        let u = UserId(u as u32);
-        loop {
-            let (x, y) = (a.next_event_for_user(u), b.next_event_for_user(u));
-            match (x, y) {
-                (Some((vx, sx)), Some((vy, sy))) => {
-                    assert_eq!(vx, vy, "user {u:?} stream diverged");
-                    assert_eq!(sx.to_bits(), sy.to_bits(), "user {u:?} similarity diverged");
-                }
-                (None, None) => break,
-                (x, y) => panic!("user {u:?} stream lengths diverged: {x:?} vs {y:?}"),
-            }
-        }
+    for u in (0..graph.num_users() as u32).map(UserId) {
+        let streamed = std::iter::from_fn(|| oracle.next_event_for_user(u)).map(|(v, s)| (v.0, s));
+        assert_stream_eq(format!("user {u:?}"), streamed, graph.sorted_col(u));
     }
 }
 
@@ -139,8 +139,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Greedy with the prewarmed (parallel-built) oracle equals greedy
-    /// with lazy streams.
+    /// Greedy-GEACC over a candidate graph built on any number of
+    /// workers returns the single-threaded arrangement.
     #[test]
     fn greedy_is_identical_at_every_thread_count(config in medium_config()) {
         let inst = config.generate();
@@ -156,14 +156,17 @@ proptest! {
         }
     }
 
-    /// The parallel-prewarmed oracle serves exactly the lazy oracle's
-    /// candidate streams, in both directions, to exhaustion.
+    /// The lazy `NeighborOracle` that localized repair walks yields
+    /// exactly the candidate graph's sorted rows and columns that
+    /// Greedy-GEACC and ALNS walk, in both directions, to exhaustion,
+    /// whether the graph was built on 1 worker or 4.
     #[test]
-    fn prewarmed_oracle_streams_match_lazy(config in medium_config()) {
+    fn oracle_streams_match_candidate_graph(config in medium_config()) {
         let inst = config.generate();
-        let mut lazy = NeighborOracle::new(&inst);
-        let mut warm = NeighborOracle::prewarmed(&inst, Threads::new(4));
-        assert_streams_equal(&inst, &mut lazy, &mut warm);
+        for t in [1usize, 4] {
+            let graph = CandidateGraph::build(&inst, Threads::new(t));
+            assert_oracle_matches_graph(&graph, &mut NeighborOracle::new(&inst));
+        }
     }
 
     /// The dense similarity matrix is bit-identical at every thread

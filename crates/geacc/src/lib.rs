@@ -19,7 +19,8 @@
 //! - `geacc_datagen` (as [`datagen`]) — Table II / Table III workload
 //!   generators;
 //! - `geacc_flow` (as [`flow`]) — the min-cost-flow substrate;
-//! - `geacc_index` (as [`index`]) — nearest-neighbour index substrate.
+//! - `geacc_index` (as [`index`]) — attribute point storage, distance
+//!   kernels and the scoped-thread parallel runtime.
 //!
 //! ## Which algorithm?
 //!
@@ -67,5 +68,5 @@ pub use geacc_core as core;
 pub use geacc_datagen as datagen;
 /// Min-cost-flow substrate.
 pub use geacc_flow as flow;
-/// Nearest-neighbour index substrate.
+/// Attribute point storage, distance kernels and the parallel runtime.
 pub use geacc_index as index;

@@ -1,63 +1,28 @@
 //! # geacc-index
 //!
-//! Nearest-neighbour index substrate for the `geacc` workspace.
+//! The dependency-free bottom of the `geacc` workspace: the flat
+//! attribute storage every instance keeps its vectors in, the distance
+//! kernels the similarity models are built on, and the scoped-thread
+//! fork-join runtime ([`parallel`]).
 //!
-//! Greedy-GEACC and Prune-GEACC repeatedly ask for "the next (k-th)
-//! nearest neighbour" of an event among users and vice versa. The paper
-//! leaves the index open (its complexity analysis carries an abstract
-//! `σ(S)` per-NN cost and cites iDistance and the VA-File); this crate
-//! provides three interchangeable implementations behind one trait:
-//!
-//! - [`linear::LinearScan`] — distances computed once per query, streamed
-//!   out of a binary heap. `O(n·d)` setup, `O(log n)` per neighbour. In
-//!   the paper's default regime (d = 20, uniform attributes in `[0, 10⁴]`)
-//!   this is the strongest option and is what the core algorithms default
-//!   to.
-//! - [`kdtree::KdTree`] — classic space-partitioning tree with best-first
-//!   incremental search. Wins at low dimensionality (the paper's d = 2
-//!   configurations), degrades toward linear scan as d grows.
-//! - [`idistance::IDistance`] — the reference-point scheme of Jagadish et
-//!   al. (TODS'05) cited by the paper: points are keyed by distance to
-//!   their closest reference point and searched by expanding annuli.
-//! - [`vafile::VaFile`] — the vector-approximation file of Weber et al.
-//!   (VLDB'98), the paper's other citation: per-dimension quantization,
-//!   lower-bound scan, exact refinement.
-//!
-//! All three agree exactly (including the deterministic id tie-break);
-//! property tests in `tests/index_properties.rs` enforce this, and the
-//! `index_ablation` bench in `geacc-bench` measures the trade-offs.
+//! The paper feeds Greedy-GEACC's "next most similar counterpart" from
+//! a spatial nearest-neighbour index (it cites iDistance and the
+//! VA-File). The solvers here walk the similarity-sorted rows of the
+//! engine's CSR candidate graph instead, so no index lives in this crate.
 //!
 //! ## Example
 //!
 //! ```
-//! use geacc_index::{PointSet, NnIndex, linear::LinearScan};
+//! use geacc_index::{distance, PointSet};
 //!
 //! let mut pts = PointSet::new(2);
 //! pts.push(&[0.0, 0.0]);
 //! pts.push(&[3.0, 4.0]);
-//! pts.push(&[1.0, 1.0]);
-//! let index = LinearScan::build(&pts);
-//! let knn = index.knn(&[0.0, 0.0], 2);
-//! assert_eq!(knn[0].id, 0);
-//! assert_eq!(knn[1].id, 2);
-//! assert!((knn[1].dist - 2f64.sqrt()).abs() < 1e-12);
+//! assert_eq!(pts.len(), 2);
+//! assert_eq!(distance(pts.point(0), pts.point(1)), 5.0);
 //! ```
 
-pub mod idistance;
-pub mod kdtree;
-pub mod linear;
 pub mod parallel;
-pub mod vafile;
-
-/// A neighbour returned by an index: point id plus true Euclidean distance
-/// to the query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor {
-    /// Index of the point within the [`PointSet`] the index was built on.
-    pub id: u32,
-    /// Euclidean distance to the query point.
-    pub dist: f64,
-}
 
 /// A dense row-major collection of d-dimensional points.
 ///
@@ -92,19 +57,6 @@ impl PointSet {
             dim,
             data: Vec::with_capacity(dim * n),
         }
-    }
-
-    /// Build from an iterator of coordinate slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any point's length differs from `dim`.
-    pub fn from_rows<'a>(dim: usize, rows: impl IntoIterator<Item = &'a [f64]>) -> Self {
-        let mut set = PointSet::new(dim);
-        for row in rows {
-            set.push(row);
-        }
-        set
     }
 
     /// Append a point.
@@ -145,12 +97,6 @@ impl PointSet {
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.dim)
     }
-
-    /// Squared Euclidean distance between point `i` and `query`.
-    #[inline]
-    pub fn dist2_to(&self, i: usize, query: &[f64]) -> f64 {
-        squared_distance(self.point(i), query)
-    }
 }
 
 /// Squared Euclidean distance between two equal-length slices.
@@ -164,49 +110,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn distance(a: &[f64], b: &[f64]) -> f64 {
     squared_distance(a, b).sqrt()
-}
-
-/// An index over a [`PointSet`] answering k-NN and incremental-NN queries.
-///
-/// Implementations must order neighbours by `(distance, id)` so that
-/// streams from different index types are interchangeable.
-pub trait NnIndex {
-    /// Number of indexed points.
-    fn len(&self) -> usize;
-
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Dimensionality of indexed points.
-    fn dim(&self) -> usize;
-
-    /// The `k` nearest neighbours of `query` (fewer if the set is small),
-    /// ordered by `(distance, id)`.
-    fn knn(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
-        let mut stream = self.nn_stream(query);
-        let mut out = Vec::with_capacity(k.min(self.len()));
-        while out.len() < k {
-            match stream.next_neighbor() {
-                Some(n) => out.push(n),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// An incremental stream yielding all points ordered by
-    /// `(distance, id)`. This is the primitive Greedy-GEACC consumes: it
-    /// calls `next_neighbor` until it finds a *feasible unvisited*
-    /// neighbour and suspends the stream until the node is popped again.
-    fn nn_stream<'a>(&'a self, query: &[f64]) -> Box<dyn NnStream + 'a>;
-}
-
-/// An incremental nearest-neighbour stream (see [`NnIndex::nn_stream`]).
-pub trait NnStream {
-    /// The next-closest not-yet-yielded point, or `None` when exhausted.
-    fn next_neighbor(&mut self) -> Option<Neighbor>;
 }
 
 #[cfg(test)]
@@ -223,14 +126,6 @@ mod tests {
         assert_eq!(pts.point(1), &[4.0, 5.0, 6.0]);
         assert_eq!(pts.iter().count(), 2);
         assert!(!pts.is_empty());
-    }
-
-    #[test]
-    fn from_rows_builds_in_order() {
-        let rows: Vec<&[f64]> = vec![&[0.0, 1.0], &[2.0, 3.0]];
-        let pts = PointSet::from_rows(2, rows);
-        assert_eq!(pts.point(0), &[0.0, 1.0]);
-        assert_eq!(pts.point(1), &[2.0, 3.0]);
     }
 
     #[test]
@@ -251,13 +146,6 @@ mod tests {
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
         assert_eq!(distance(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn dist2_to_matches_free_function() {
-        let mut pts = PointSet::new(2);
-        pts.push(&[1.0, 1.0]);
-        assert_eq!(pts.dist2_to(0, &[4.0, 5.0]), 25.0);
     }
 
     #[test]

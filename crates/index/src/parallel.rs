@@ -3,11 +3,11 @@
 //! The workspace's dependency policy rules out rayon, so the parallel
 //! runtime is built directly on scoped threads: a [`Threads`] budget
 //! resolved from `GEACC_THREADS` / `std::thread::available_parallelism`,
-//! plus two deterministic fork-join shapes — [`par_map`] (index-range
-//! map with order-preserving concatenation) and [`for_each_chunk`]
-//! (in-place mutation of disjoint slice chunks). Both degrade to plain
-//! sequential loops at `Threads(1)` or for small inputs, so callers pay
-//! no thread overhead in the common single-core case.
+//! plus two deterministic fork-join maps — [`par_map`] (static index
+//! ranges for many cheap items) and [`par_map_coarse`] (a shared cursor
+//! for few heavy ones). Both degrade to plain sequential loops at
+//! `Threads(1)`, so callers pay no thread overhead in the common
+//! single-core case.
 //!
 //! Determinism contract: the *value* produced by these helpers is a pure
 //! function of the input — work is split by index ranges and results are
@@ -87,9 +87,9 @@ impl Threads {
     /// `min_cost_per_worker` units of `total_cost` (both in any
     /// caller-chosen unit: items, dense cells, bytes).
     ///
-    /// The per-*item* floor baked into [`par_map`] /
-    /// [`for_each_chunk`] assumes items are cheap and uniform; callers
-    /// whose items are whole rows or panels know the real work better.
+    /// The per-*item* floor baked into [`par_map`] assumes items are
+    /// cheap and uniform; callers whose items are whole rows or panels
+    /// know the real work better.
     /// Forking 4 workers over a job worth a fraction of a millisecond
     /// is a net loss — each spawn/join costs tens of microseconds and,
     /// on hosts with less parallelism than the budget, the workers just
@@ -211,38 +211,6 @@ where
         .collect()
 }
 
-/// Run `f(chunk_start, chunk)` over disjoint contiguous chunks of
-/// `items`, one chunk per worker. `chunk_start` is the chunk's offset in
-/// `items`, so workers can index global side tables.
-pub fn for_each_chunk<T, F>(threads: Threads, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = items.len();
-    if threads.get() == 1 || n < 2 * MIN_ITEMS_PER_WORKER {
-        f(0, items);
-        return;
-    }
-    let workers = threads.get().min(n / MIN_ITEMS_PER_WORKER).max(1);
-    let ranges = split_ranges(n, workers);
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut consumed = 0;
-        let mut handles = Vec::with_capacity(ranges.len());
-        for &(start, end) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(end - consumed);
-            rest = tail;
-            consumed = end;
-            let f = &f;
-            handles.push(scope.spawn(move || f(start, chunk)));
-        }
-        for h in handles {
-            join_propagating(h);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,20 +254,6 @@ mod tests {
                 let got = par_map_coarse(Threads::new(t), n, |i| i * i);
                 assert_eq!(got, expected, "n = {n}, threads = {t}");
             }
-        }
-    }
-
-    #[test]
-    fn for_each_chunk_mutates_every_item_once() {
-        for t in [1, 2, 5, 16] {
-            let mut items: Vec<usize> = vec![0; 500];
-            for_each_chunk(Threads::new(t), &mut items, |start, chunk| {
-                for (off, item) in chunk.iter_mut().enumerate() {
-                    *item = start + off + 1;
-                }
-            });
-            let expected: Vec<usize> = (1..=500).collect();
-            assert_eq!(items, expected, "threads = {t}");
         }
     }
 

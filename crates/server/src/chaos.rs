@@ -3,8 +3,8 @@
 //! Sits between a client (or replica) and a server, forwarding
 //! newline-delimited traffic while injecting faults from a seeded
 //! plan: per-line drop/duplicate/delay rolls, a hard partition switch,
-//! and a deterministic cut trigger that kills the connection right
-//! before the Nth line matching a needle — which is how the failover
+//! and a deterministic cut trigger that ends the stream right before
+//! the Nth line matching a needle — which is how the failover
 //! tests sweep "crash at every record boundary" without racing a real
 //! kill.
 //!
@@ -31,8 +31,8 @@ pub struct LinePolicy {
     pub delay_pct: u8,
     pub delay_ms: u64,
     /// Deterministic cut: forward lines until `count` lines containing
-    /// `needle` have passed, then kill the connection *before*
-    /// forwarding the next matching line. The budget is shared across
+    /// `needle` have passed, then end the stream *before* forwarding the
+    /// next matching line. The budget is shared across
     /// every connection in this direction, so a client that reconnects
     /// after the cut still cannot get a line past it — exactly the
     /// "primary died at record boundary k" shape the failover sweep
@@ -288,11 +288,15 @@ fn pump(
         if let Some((needle, count)) = &policy.cut_after_matching {
             if text.contains(needle.as_str()) && cut_count.fetch_add(1, Ordering::SeqCst) >= *count
             {
-                // The cut: kill both directions before this line. The
+                // The cut: nothing from this line on reaches `to`. Only
+                // its write side is shut: server-to-client, a full
+                // shutdown makes the kernel answer the client's late
+                // writes (a replica's acks) with a reset, which discards
+                // lines already forwarded but not yet read. The partner
+                // pump severs both sockets once the client hangs up. The
                 // shared counter is already past the budget, so every
                 // later matching line (on any connection) cuts too.
-                kill.store(true, Ordering::SeqCst);
-                sever(&reader, &to);
+                let _ = to.shutdown(Shutdown::Write);
                 return;
             }
         }

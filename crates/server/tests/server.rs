@@ -169,6 +169,27 @@ fn full_session_over_tcp() {
 }
 
 #[test]
+fn hostile_inline_load_is_a_bad_request() {
+    let (addr, handle) = spawn_server(test_config());
+    let mut client = Client::connect(addr);
+
+    // Attribute rows of length 1 under a declared 2^40 dimension: the
+    // loader must reject the document before sizing a buffer from `dim`
+    // (an allocation abort would take the whole daemon down).
+    let hostile = load_line().replacen("\"dim\":1,", "\"dim\":1099511627776,", 1);
+    assert_ne!(hostile, load_line(), "template lost its dim probe");
+    let rejected = client.call(&hostile);
+    assert_eq!(err_code(&rejected), "bad_request");
+
+    let health = client.call(r#"{"op": "health", "id": 2}"#);
+    assert_eq!(protocol::get_u64(&health, "id"), Some(2));
+    ok_data(&health);
+
+    client.call(r#"{"op": "shutdown"}"#);
+    handle.join();
+}
+
+#[test]
 fn pipelined_requests_echo_ids() {
     let (addr, handle) = spawn_server(test_config());
     let mut client = Client::connect(addr);

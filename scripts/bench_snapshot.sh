@@ -2,9 +2,9 @@
 # Regenerate the benchmark snapshots:
 #
 #   BENCH_parallel.json    — thread-scaling for the parallel runtime
-#                            (Prune-GEACC branch-and-bound, prewarmed-
-#                            oracle Greedy, dense similarity build) at
-#                            1/2/4/8 workers;
+#                            (Prune-GEACC branch-and-bound, Greedy over
+#                            the shared candidate graph, dense
+#                            similarity build) at 1/2/4/8 workers;
 #   BENCH_resilience.json  — budget-meter overhead (meterless vs
 #                            unlimited-meter runs, asserted
 #                            bit-identical) plus a 100 ms deadline

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, release build, lints, the workspace
+# The full local gate: formatting, release build (plus a locked build
+# of the separate perfbench workspace), lints, the workspace
 # test suite at two worker-pool sizes — GEACC_THREADS=1 exercises every
 # sequential code path, GEACC_THREADS=4 the scoped-thread parallel
 # paths (including the resilience suite's worker-panic and
@@ -19,6 +20,13 @@ cargo fmt --all -- --check
 
 echo "== cargo build --release =="
 cargo build --release --workspace
+
+echo "== perfbench build (locked) =="
+# perfbench/ is a workspace of its own, so the build above never
+# compiles it. Building it against its committed lockfile catches an API
+# change that breaks the benchmark, or a dependency change that leaves
+# perfbench/Cargo.lock stale, before the benchmark is run.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
