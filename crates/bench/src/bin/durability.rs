@@ -22,8 +22,8 @@
 use geacc_bench::cli;
 use geacc_core::{DynamicConfig, Instance, Mutation, Side};
 use geacc_datagen::SyntheticConfig;
-use geacc_server::recovery::{self, RecoveredSession};
-use geacc_server::wal::{self, FsyncPolicy, SnapshotDoc, WalRecord, WalWriter};
+use geacc_server::recovery;
+use geacc_server::wal::{self, FsyncPolicy, WalRecord, WalWriter};
 use geacc_server::{protocol, Server, ServerConfig};
 use serde::Serialize;
 use serde_json::Value;
@@ -212,20 +212,11 @@ fn recovery_run(dir: &Path, n: usize) -> RecoveryRun {
     let full_replay_ms = started.elapsed().as_secs_f64() * 1e3;
     assert!(!cold.snapshot_used);
     assert_eq!(cold.replayed, wal_records);
-    let RecoveredSession { arranger, base } = cold.session.expect("recovered session");
+    let session = cold.session.expect("recovered session");
+    let arranger = &session.arranger;
 
     // Rotate a snapshot at the log's end, as `--snapshot-every` would.
-    let doc = SnapshotDoc {
-        version: 1,
-        wal_offset: cold.wal_offset,
-        wal_records: cold.wal_records,
-        epoch: arranger.epoch(),
-        base,
-        live: arranger.instance().clone(),
-        log: arranger.log().to_vec(),
-        arrangement: arranger.arrangement().clone(),
-        baseline: arranger.baseline_max_sum(),
-    };
+    let doc = session.snapshot_doc(cold.wal_offset, cold.wal_records);
     wal::write_snapshot(&recovery::snapshot_path(dir), &doc).expect("write snapshot");
 
     let started = Instant::now();

@@ -93,45 +93,6 @@ pub enum Mutation {
     SetCapacity { side: Side, id: u32, capacity: u32 },
 }
 
-impl Mutation {
-    /// Wire encoding for persistence layers (the server's WAL): the
-    /// mutation as JSON bytes, exactly the `mutate` op's payload format,
-    /// so a log is inspectable with standard tools. Fails only on
-    /// non-finite floats (which JSON cannot carry and instance validation
-    /// rejects anyway).
-    pub fn to_wire(&self) -> Result<Vec<u8>, WireError> {
-        serde_json::to_string(self)
-            .map(String::into_bytes)
-            .map_err(WireError::Json)
-    }
-
-    /// Decode a [`Mutation::to_wire`] payload.
-    pub fn from_wire(bytes: &[u8]) -> Result<Mutation, WireError> {
-        let text = std::str::from_utf8(bytes).map_err(|_| WireError::Utf8)?;
-        serde_json::from_str(text).map_err(WireError::Json)
-    }
-}
-
-/// A wire payload that does not decode to a [`Mutation`].
-#[derive(Debug)]
-pub enum WireError {
-    /// The payload is not UTF-8.
-    Utf8,
-    /// The payload is not a JSON-encoded mutation.
-    Json(serde_json::Error),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Utf8 => write!(f, "payload is not UTF-8"),
-            WireError::Json(e) => write!(f, "payload is not a JSON mutation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
 /// A mutation that cannot be applied. Failed mutations leave the
 /// arranger untouched: no eviction, no epoch bump, no log entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,22 +165,6 @@ impl RepairReport {
     pub fn max_sum_delta(&self) -> f64 {
         self.max_sum_after - self.max_sum_before
     }
-
-    /// Total pairs touched — the "repair size" the server's metrics
-    /// histogram tracks.
-    pub fn repair_size(&self) -> usize {
-        self.evicted + self.reassigned
-    }
-}
-
-/// What [`IncrementalArranger::replay_tail`] did with a WAL tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplayStats {
-    /// Records that applied cleanly.
-    pub applied: usize,
-    /// Records that failed to apply — they failed identically when first
-    /// logged, so skipping them reproduces the runtime state.
-    pub skipped: usize,
 }
 
 /// A candidate pair proposed by an affected node's oracle stream during
@@ -346,24 +291,6 @@ impl IncrementalArranger {
             config,
             flats: None,
         })
-    }
-
-    /// Replay a mutation tail from a write-ahead log — replay-from-offset
-    /// for recovery layers that resumed from a snapshot and must apply
-    /// the records logged after it. A WAL is written *before* a mutation
-    /// is validated against live state, so a logged record may fail to
-    /// apply; it failed identically at runtime (apply is transactional
-    /// and deterministic), so it is skipped and counted rather than
-    /// aborting the replay.
-    pub fn replay_tail(&mut self, tail: &[Mutation]) -> ReplayStats {
-        let mut stats = ReplayStats::default();
-        for mutation in tail {
-            match self.apply(mutation.clone()) {
-                Ok(_) => stats.applied += 1,
-                Err(_) => stats.skipped += 1,
-            }
-        }
-        stats
     }
 
     /// The live (mutated) instance.
@@ -1118,63 +1045,6 @@ mod tests {
             DynamicConfig::default(),
         )
         .is_err());
-    }
-
-    #[test]
-    fn replay_tail_skips_what_failed_at_runtime() {
-        // A tail recorded by a WAL that logs before applying: the middle
-        // record was rejected at runtime (unknown event) and must be
-        // skipped, not abort the replay.
-        let tail = [
-            Mutation::AddConflict {
-                a: EventId(0),
-                b: EventId(1),
-            },
-            Mutation::CloseEvent { event: EventId(99) },
-            Mutation::SetCapacity {
-                side: Side::User,
-                id: 0,
-                capacity: 0,
-            },
-        ];
-        let mut live = arranger();
-        let _ = live.apply(tail[0].clone());
-        let _ = live.apply(tail[1].clone()).unwrap_err();
-        let _ = live.apply(tail[2].clone());
-
-        let mut recovered = arranger();
-        let stats = recovered.replay_tail(&tail);
-        assert_eq!(
-            stats,
-            ReplayStats {
-                applied: 2,
-                skipped: 1
-            }
-        );
-        assert_eq!(recovered.arrangement(), live.arrangement());
-        assert_eq!(recovered.epoch(), live.epoch());
-        assert_eq!(recovered.max_sum().to_bits(), live.max_sum().to_bits());
-    }
-
-    #[test]
-    fn wire_encoding_roundtrips_and_rejects_garbage() {
-        let m = Mutation::AddEvent {
-            attrs: vec![0.25, 0.5],
-            capacity: 3,
-            conflicts: vec![EventId(1)],
-        };
-        let bytes = m.to_wire().unwrap();
-        assert_eq!(Mutation::from_wire(&bytes).unwrap(), m);
-        // The wire format is the mutate op's JSON payload.
-        assert_eq!(bytes, serde_json::to_string(&m).unwrap().into_bytes());
-        assert!(matches!(
-            Mutation::from_wire(&[0xff, 0xfe]),
-            Err(WireError::Utf8)
-        ));
-        assert!(matches!(
-            Mutation::from_wire(b"{\"Nope\":{}}"),
-            Err(WireError::Json(_))
-        ));
     }
 
     #[test]

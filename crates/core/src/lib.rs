@@ -68,8 +68,7 @@ pub mod toy;
 
 pub use alns::{alns_on, AlnsConfig, AlnsState, AlnsStats};
 pub use dynamic::{
-    DynamicConfig, IncrementalArranger, Mutation, MutationError, RepairReport, ReplayStats, Side,
-    WireError,
+    DynamicConfig, IncrementalArranger, Mutation, MutationError, RepairReport, Side,
 };
 pub use engine::{
     CandidateGraph, EngineStats, GraphFlats, SolveParams, Solver, SolverCaps, SolverRegistry,

@@ -11,9 +11,9 @@
 //!    destroy/repair search, and the result is reported as
 //!    `DegradedTo(Alns)` **only if ALNS actually improved it** — the
 //!    stage that produced the final incumbent is the one named;
-//! 3. **Greedy-GEACC** under the (separate) fallback budget, if the
-//!    primary panicked, produced an infeasible arrangement, or was
-//!    budget-stopped with degradation requested;
+//! 3. **Greedy-GEACC**, unbudgeted, if the primary panicked, produced
+//!    an infeasible arrangement, or was budget-stopped with degradation
+//!    requested;
 //! 4. **Random-V** as the unconditional last resort;
 //! 5. the empty arrangement with [`SolveStatus::TimedOut`] if even that
 //!    failed.
@@ -49,7 +49,6 @@ use std::time::Instant;
 pub struct SolverPipeline {
     primary: Algorithm,
     budget: SolveBudget,
-    fallback_budget: SolveBudget,
     threads: Threads,
     degrade_on_stop: bool,
     alns_refine: Option<SolveBudget>,
@@ -61,12 +60,11 @@ pub struct SolverPipeline {
 impl SolverPipeline {
     /// A pipeline running `primary` under `budget`, single-threaded,
     /// returning the budget-stopped incumbent as-is (no degradation on
-    /// stop), with an unlimited fallback budget.
+    /// stop).
     pub fn new(primary: Algorithm, budget: SolveBudget) -> Self {
         SolverPipeline {
             primary,
             budget,
-            fallback_budget: SolveBudget::UNLIMITED,
             threads: Threads::single(),
             degrade_on_stop: false,
             alns_refine: None,
@@ -79,12 +77,6 @@ impl SolverPipeline {
     /// Worker budget for the primary and Greedy stages.
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Budget for the Greedy fallback stage (default: unlimited).
-    pub fn with_fallback_budget(mut self, budget: SolveBudget) -> Self {
-        self.fallback_budget = budget;
         self
     }
 
@@ -256,9 +248,9 @@ impl SolverPipeline {
             }
         }
 
-        // Stage 3: Greedy under the fallback budget, over the same graph.
+        // Stage 3: Greedy, unbudgeted, over the same graph.
         if !matches!(self.primary, Algorithm::Greedy) {
-            let meter = self.meter_for(&self.fallback_budget);
+            let meter = self.meter_for(&SolveBudget::UNLIMITED);
             let solved = self.run_stage(graph, "greedy", || {
                 engine::solve_on(graph, Algorithm::Greedy, &params, &meter)
             });

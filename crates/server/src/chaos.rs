@@ -11,6 +11,7 @@
 //! Everything is std-only and line-oriented; binary traffic is not
 //! supported (the protocol is newline-delimited JSON throughout).
 
+use crate::lock;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -171,10 +172,6 @@ impl Drop for ChaosProxy {
             let _ = handle.join();
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Wire one accepted downstream connection to a fresh upstream one and

@@ -329,38 +329,9 @@ impl RetryClient {
                 }
             }
         }
-        let Some(conn) = self.conn.as_mut() else {
-            return Attempt::Transport;
-        };
-        if conn
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|_| conn.writer.flush())
-            .is_err()
-        {
-            return Attempt::Transport;
-        }
-        let mut response = String::new();
-        loop {
-            if Instant::now() >= deadline {
-                // Abandon the connection: a late response on it would
-                // desynchronize request/response pairing.
-                self.conn = None;
-                return Attempt::Fatal(ClientError::Timeout);
-            }
-            response.clear();
-            match conn.reader.read_line(&mut response) {
-                Ok(0) => return Attempt::Transport,
-                Ok(_) => break,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    continue
-                }
-                Err(_) => return Attempt::Transport,
-            }
-        }
-        let envelope: Value = match serde_json::from_str(&response) {
-            Ok(v) => v,
-            Err(_) => return Attempt::Transport,
+        let envelope = match self.round_trip(line.as_bytes(), deadline) {
+            Ok(envelope) => envelope,
+            Err(attempt) => return attempt,
         };
         match get(&envelope, "ok") {
             Some(Value::Bool(true)) => {
@@ -403,36 +374,9 @@ impl RetryClient {
     /// so the real request is never burned discovering topology.
     /// Returns `None` when the node is fine to use as-is.
     fn preflight(&mut self, deadline: Instant) -> Option<Attempt> {
-        let Some(conn) = self.conn.as_mut() else {
-            return Some(Attempt::Transport);
-        };
-        if conn
-            .writer
-            .write_all(b"{\"op\":\"health\",\"id\":0}\n")
-            .and_then(|_| conn.writer.flush())
-            .is_err()
-        {
-            return Some(Attempt::Transport);
-        }
-        let mut response = String::new();
-        loop {
-            if Instant::now() >= deadline {
-                self.conn = None;
-                return Some(Attempt::Fatal(ClientError::Timeout));
-            }
-            response.clear();
-            match conn.reader.read_line(&mut response) {
-                Ok(0) => return Some(Attempt::Transport),
-                Ok(_) => break,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    continue
-                }
-                Err(_) => return Some(Attempt::Transport),
-            }
-        }
-        let envelope: Value = match serde_json::from_str(&response) {
-            Ok(v) => v,
-            Err(_) => return Some(Attempt::Transport),
+        let envelope = match self.round_trip(b"{\"op\":\"health\",\"id\":0}\n", deadline) {
+            Ok(envelope) => envelope,
+            Err(attempt) => return Some(attempt),
         };
         self.verify_role = false;
         if let Some(data) = get(&envelope, "data") {
@@ -448,6 +392,40 @@ impl RetryClient {
             }
         }
         None
+    }
+
+    /// Write one request line on the open connection and read back its
+    /// response envelope. Past `deadline` the connection is abandoned: a
+    /// late response on it would desynchronize request/response pairing.
+    fn round_trip(&mut self, line: &[u8], deadline: Instant) -> Result<Value, Attempt> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(Attempt::Transport);
+        };
+        if conn
+            .writer
+            .write_all(line)
+            .and_then(|_| conn.writer.flush())
+            .is_err()
+        {
+            return Err(Attempt::Transport);
+        }
+        let mut response = String::new();
+        loop {
+            if Instant::now() >= deadline {
+                self.conn = None;
+                return Err(Attempt::Fatal(ClientError::Timeout));
+            }
+            response.clear();
+            match conn.reader.read_line(&mut response) {
+                Ok(0) => return Err(Attempt::Transport),
+                Ok(_) => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    continue
+                }
+                Err(_) => return Err(Attempt::Transport),
+            }
+        }
+        serde_json::from_str(&response).map_err(|_| Attempt::Transport)
     }
 
     fn open(&self) -> io::Result<Conn> {

@@ -60,3 +60,11 @@ pub use server::{Server, ServerConfig};
 pub use service::Service;
 pub use supervisor::{SupervisorConfig, SupervisorState};
 pub use wal::{FsyncPolicy, WalRecord, WalWriter};
+
+/// Lock `mutex`, recovering the guard if a panicking thread poisoned
+/// it: the panic was already caught and answered as a structured
+/// `internal` error, so every later request keeps serving instead of
+/// wedging on the poison.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}

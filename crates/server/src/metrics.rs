@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 /// The wire operations the service understands, plus a bucket for
-/// everything else (counted, then rejected with `unknown_op`).
+/// everything else (counted, then rejected with `unknown_op`). This is
+/// the one op table: each op's wire name and the classes the event loop
+/// and the service dispatch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     Load,
@@ -27,11 +29,14 @@ pub enum Op {
     Health,
     Promote,
     Shutdown,
+    /// A replica's stream handshake: the event loop hands the connection
+    /// to a stream thread, so it never reaches `Service::handle`.
+    Replicate,
     Unknown,
 }
 
 /// All ops, in wire-name order; `Op as usize` indexes per-op counters.
-pub const OPS: [Op; 12] = [
+pub const OPS: [Op; 13] = [
     Op::Load,
     Op::Mutate,
     Op::QueryUser,
@@ -43,26 +48,16 @@ pub const OPS: [Op; 12] = [
     Op::Health,
     Op::Promote,
     Op::Shutdown,
+    Op::Replicate,
     Op::Unknown,
 ];
 
 impl Op {
     /// Parse a wire op name; anything unrecognized is [`Op::Unknown`].
     pub fn from_name(name: &str) -> Op {
-        match name {
-            "load" => Op::Load,
-            "mutate" => Op::Mutate,
-            "query_user" => Op::QueryUser,
-            "query_event" => Op::QueryEvent,
-            "stats" => Op::Stats,
-            "solve" => Op::Solve,
-            "snapshot" => Op::Snapshot,
-            "restore" => Op::Restore,
-            "health" => Op::Health,
-            "promote" => Op::Promote,
-            "shutdown" => Op::Shutdown,
-            _ => Op::Unknown,
-        }
+        OPS.into_iter()
+            .find(|op| op.name() == name)
+            .unwrap_or(Op::Unknown)
     }
 
     /// The wire name (snapshot map key).
@@ -79,8 +74,31 @@ impl Op {
             Op::Health => "health",
             Op::Promote => "promote",
             Op::Shutdown => "shutdown",
+            Op::Replicate => "replicate",
             Op::Unknown => "unknown",
         }
+    }
+
+    /// Answered inline on the event loop over epoch-pinned state, never
+    /// queued behind solves; also the read latency class.
+    pub fn is_inline_read(self) -> bool {
+        matches!(
+            self,
+            Op::QueryUser | Op::QueryEvent | Op::Stats | Op::Health
+        )
+    }
+
+    /// The response is a pure function of (request line, state version),
+    /// so the event loop may replay its bytes until the state moves.
+    /// `stats`/`health` mix in live counters, so only queries qualify.
+    pub fn is_cacheable(self) -> bool {
+        matches!(self, Op::QueryUser | Op::QueryEvent)
+    }
+
+    /// Changes the served state: refused on a replica and on a fenced
+    /// primary.
+    pub fn is_write(self) -> bool {
+        matches!(self, Op::Load | Op::Mutate | Op::Solve | Op::Restore)
     }
 }
 
@@ -247,11 +265,9 @@ impl ServerMetrics {
         self.requests[op as usize].fetch_add(1, Relaxed);
         self.latency.record(latency);
         match op {
-            Op::QueryUser | Op::QueryEvent | Op::Stats | Op::Health => {
-                self.read_latency.record(latency)
-            }
             Op::Mutate => self.mutate_latency.record(latency),
             Op::Solve => self.solve_latency.record(latency),
+            op if op.is_inline_read() => self.read_latency.record(latency),
             _ => {}
         }
     }

@@ -13,12 +13,12 @@
 //!    *mid-log corruption* refuses the boot with a structured
 //!    [`RecoveryError::Corrupt`] naming the byte offset — truncating
 //!    there would silently drop acked history.
-//! 3. **Replay the tail** through the deterministic
-//!    [`IncrementalArranger`] machinery: `Load` records open a fresh
-//!    session, `Mutation` records re-apply (records that failed at
-//!    runtime fail identically and are skipped — see
-//!    [`IncrementalArranger::replay_tail`]), `Install` records re-adopt
-//!    a solve/restore arrangement.
+//! 3. **Replay the tail** through [`apply_record`], the same path
+//!    replicas apply shipped records through: `Load` records open a
+//!    fresh [`Session`], `Mutation` records re-apply through the
+//!    deterministic [`IncrementalArranger`] (a record that failed at
+//!    runtime — the WAL logs before applying — fails identically and is
+//!    skipped), `Install` records re-adopt a solve arrangement.
 //!
 //! The result is bit-identical to the pre-crash state for every acked
 //! request: an ack only follows a durable append, so the recovered log
@@ -26,18 +26,60 @@
 //! acked record.
 
 use crate::wal::{
-    self, read_snapshot, scan_from, FsyncPolicy, SnapshotReadError, WalRecord, WalWriter,
+    self, read_snapshot, scan_from, FsyncPolicy, SnapshotDoc, SnapshotReadError, WalRecord,
+    WalWriter,
 };
-use geacc_core::{DynamicConfig, IncrementalArranger, Instance};
+use geacc_core::{DynamicConfig, IncrementalArranger, Instance, Violation};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A recovered session: the arranger plus the pristine base instance
-/// snapshots embed.
+/// A loaded instance under management: the arranger plus the pristine
+/// base instance snapshots embed. Live ops, boot recovery and replicas
+/// all build and advance this one type.
 #[derive(Debug)]
-pub struct RecoveredSession {
+pub struct Session {
     pub arranger: IncrementalArranger,
     pub base: Instance,
+}
+
+impl Session {
+    /// A fresh session over `base` (the initial Greedy solve).
+    pub fn new(base: Instance, config: DynamicConfig) -> Session {
+        Session {
+            arranger: IncrementalArranger::new(base.clone(), config),
+            base,
+        }
+    }
+
+    /// Resume the session a durability snapshot holds, without replay.
+    /// Rejected unless the snapshot's arrangement is feasible for its
+    /// live instance.
+    pub fn resume(doc: SnapshotDoc, config: DynamicConfig) -> Result<Session, Vec<Violation>> {
+        let arranger =
+            IncrementalArranger::resume(doc.live, doc.log, doc.arrangement, doc.baseline, config)?;
+        Ok(Session {
+            arranger,
+            base: doc.base,
+        })
+    }
+
+    /// The durability snapshot of this session, cut at WAL position
+    /// (`wal_offset`, `wal_records`).
+    pub fn snapshot_doc(&self, wal_offset: u64, wal_records: u64) -> SnapshotDoc {
+        let arranger = &self.arranger;
+        SnapshotDoc {
+            version: 1,
+            wal_offset,
+            wal_records,
+            epoch: arranger.epoch(),
+            base: self.base.clone(),
+            live: arranger.instance().clone(),
+            log: arranger.log().to_vec(),
+            arrangement: arranger.arrangement().clone(),
+            baseline: arranger.baseline_max_sum(),
+        }
+    }
 }
 
 /// What recovery found and did — surfaced in the boot log line and the
@@ -45,7 +87,7 @@ pub struct RecoveredSession {
 #[derive(Debug)]
 pub struct Recovery {
     /// The live session, if the log (or snapshot) contained one.
-    pub session: Option<RecoveredSession>,
+    pub session: Option<Session>,
     /// Byte length of the valid WAL prefix; the writer resumes here.
     pub wal_offset: u64,
     /// Records in the valid prefix (snapshot's count + tail records).
@@ -164,27 +206,7 @@ pub fn recover(dir: &Path, config: DynamicConfig) -> Result<Recovery, RecoveryEr
         detail: c.detail,
     })?;
     truncate_torn_tail(&wal_file, &scan)?;
-    let mut state: Option<RecoveredSession> = None;
-    let mut dedup = std::collections::BTreeMap::new();
-    let (mut replayed, mut skipped) = (0u64, 0u64);
-    for scanned in &scan.records {
-        replayed += 1;
-        collect_dedup_key(&mut dedup, &scanned.record);
-        if !apply_record(&mut state, &scanned.record, config) {
-            skipped += 1;
-        }
-    }
-    Ok(Recovery {
-        session: state,
-        wal_offset: scan.valid_len,
-        wal_records: scan.records.len() as u64,
-        replayed,
-        skipped,
-        truncated_bytes: scan.truncated_bytes,
-        snapshot_used: false,
-        snapshot_epoch: None,
-        dedup_keys: dedup.into_iter().collect(),
-    })
+    Ok(replay_scan(None, &scan, 0, None, config))
 }
 
 /// Attempt the snapshot fast path. `Ok(None)` means the snapshot is
@@ -193,7 +215,7 @@ pub fn recover(dir: &Path, config: DynamicConfig) -> Result<Recovery, RecoveryEr
 fn try_snapshot_recovery(
     wal_file: &Path,
     bytes: &[u8],
-    doc: wal::SnapshotDoc,
+    doc: SnapshotDoc,
     config: DynamicConfig,
 ) -> Result<Option<Recovery>, RecoveryError> {
     let snapshot_offset = doc.wal_offset;
@@ -212,46 +234,69 @@ fn try_snapshot_recovery(
             })
         }
     };
-    let arranger =
-        match IncrementalArranger::resume(doc.live, doc.log, doc.arrangement, doc.baseline, config)
-        {
-            Ok(arranger) => arranger,
-            Err(_) => return Ok(None), // infeasible snapshot: fall back
-        };
+    let Ok(session) = Session::resume(doc, config) else {
+        return Ok(None); // infeasible snapshot: fall back
+    };
     truncate_torn_tail(wal_file, &scan)?;
-    let mut state = Some(RecoveredSession {
-        arranger,
-        base: doc.base,
-    });
-    let mut dedup = std::collections::BTreeMap::new();
-    let (mut replayed, mut skipped) = (0u64, 0u64);
-    for scanned in &scan.records {
-        replayed += 1;
-        collect_dedup_key(&mut dedup, &scanned.record);
-        if !apply_record(&mut state, &scanned.record, config) {
+    Ok(Some(replay_scan(
+        Some(session),
+        &scan,
+        snapshot_records,
+        Some(snapshot_epoch),
+        config,
+    )))
+}
+
+/// Replay a scanned WAL tail over `session` (the snapshot's, or none)
+/// — the one replay loop of both recovery paths. `base_records` is the
+/// record count below the scan; `snapshot_epoch` names the snapshot the
+/// replay resumed from, if any.
+fn replay_scan(
+    mut session: Option<Session>,
+    scan: &wal::WalScan,
+    base_records: u64,
+    snapshot_epoch: Option<u64>,
+    config: DynamicConfig,
+) -> Recovery {
+    let mut dedup = BTreeMap::new();
+    let skipped = replay(
+        &mut session,
+        scan.records.iter().map(|r| &r.record),
+        &mut dedup,
+        config,
+    );
+    Recovery {
+        session,
+        wal_offset: scan.valid_len,
+        wal_records: base_records + scan.records.len() as u64,
+        replayed: scan.records.len() as u64,
+        skipped,
+        truncated_bytes: scan.truncated_bytes,
+        snapshot_used: snapshot_epoch.is_some(),
+        snapshot_epoch,
+        dedup_keys: dedup.into_iter().collect(),
+    }
+}
+
+/// Apply `records` in order, noting each idempotency key (highest seq
+/// per client) in `dedup`; returns how many were skipped.
+fn replay<'a>(
+    state: &mut Option<Session>,
+    records: impl Iterator<Item = &'a WalRecord>,
+    dedup: &mut BTreeMap<String, u64>,
+    config: DynamicConfig,
+) -> u64 {
+    let mut skipped = 0;
+    for record in records {
+        if let WalRecord::KeyedMutation { client, seq, .. } = record {
+            let entry = dedup.entry(client.clone()).or_insert(*seq);
+            *entry = (*entry).max(*seq);
+        }
+        if !apply_record(state, record, config) {
             skipped += 1;
         }
     }
-    Ok(Some(Recovery {
-        session: state,
-        wal_offset: scan.valid_len,
-        wal_records: snapshot_records + scan.records.len() as u64,
-        replayed,
-        skipped,
-        truncated_bytes: scan.truncated_bytes,
-        snapshot_used: true,
-        snapshot_epoch: Some(snapshot_epoch),
-        dedup_keys: dedup.into_iter().collect(),
-    }))
-}
-
-/// Note a replayed record's idempotency key, keeping the highest seq
-/// per client.
-fn collect_dedup_key(dedup: &mut std::collections::BTreeMap<String, u64>, record: &WalRecord) {
-    if let WalRecord::KeyedMutation { client, seq, .. } = record {
-        let entry = dedup.entry(client.clone()).or_insert(*seq);
-        *entry = (*entry).max(*seq);
-    }
+    skipped
 }
 
 /// Apply one replayed record to the session under construction; `false`
@@ -260,16 +305,13 @@ fn collect_dedup_key(dedup: &mut std::collections::BTreeMap<String, u64>, record
 /// records through exactly this path, and failover tests use it to
 /// compute what an acked WAL prefix must serve.
 pub fn apply_record(
-    state: &mut Option<RecoveredSession>,
+    state: &mut Option<Session>,
     record: &WalRecord,
     config: DynamicConfig,
 ) -> bool {
     match record {
         WalRecord::Load { instance } => {
-            *state = Some(RecoveredSession {
-                arranger: IncrementalArranger::new(instance.clone(), config),
-                base: instance.clone(),
-            });
+            *state = Some(Session::new(instance.clone(), config));
             true
         }
         WalRecord::Mutation { mutation } | WalRecord::KeyedMutation { mutation, .. } => match state
@@ -294,11 +336,9 @@ pub fn apply_record(
 /// path boot recovery takes, exposed so replication tests and the
 /// failover smoke can compute what an acked WAL prefix must serve
 /// without booting a server.
-pub fn replay_prefix(records: &[WalRecord], config: DynamicConfig) -> Option<RecoveredSession> {
+pub fn replay_prefix(records: &[WalRecord], config: DynamicConfig) -> Option<Session> {
     let mut state = None;
-    for record in records {
-        apply_record(&mut state, record, config);
-    }
+    replay(&mut state, records.iter(), &mut BTreeMap::new(), config);
     state
 }
 
@@ -349,8 +389,8 @@ pub fn reset_wal(dir: &Path, policy: FsyncPolicy) -> io::Result<WalWriter> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{write_snapshot, SnapshotDoc};
-    use geacc_core::{toy, EventId, Mutation};
+    use crate::wal::write_snapshot;
+    use geacc_core::{toy, EventId, Mutation, Side};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("geacc-recovery-tests").join(name);
@@ -495,17 +535,11 @@ mod tests {
                 b: EventId(1),
             })
             .unwrap();
-        let doc = SnapshotDoc {
-            version: 1,
-            wal_offset: scan.records[2].offset,
-            wal_records: 2,
-            epoch: arranger.epoch(),
+        let session = Session {
+            arranger,
             base: toy::table1_instance(),
-            live: arranger.instance().clone(),
-            log: arranger.log().to_vec(),
-            arrangement: arranger.arrangement().clone(),
-            baseline: arranger.baseline_max_sum(),
         };
+        let doc = session.snapshot_doc(scan.records[2].offset, 2);
         write_snapshot(&snapshot_path(&dir_snap), &doc).unwrap();
 
         let full = recover(&dir_full, DynamicConfig::default()).unwrap();
@@ -524,6 +558,47 @@ mod tests {
         assert_eq!(a.base, b.base);
         std::fs::remove_dir_all(&dir_full).ok();
         std::fs::remove_dir_all(&dir_snap).ok();
+    }
+
+    #[test]
+    fn apply_record_skips_what_failed_at_runtime() {
+        // A tail recorded by a WAL that logs before applying: the middle
+        // record was rejected at runtime (unknown event) and must be
+        // skipped, not abort the replay.
+        let tail = [
+            Mutation::AddConflict {
+                a: EventId(0),
+                b: EventId(1),
+            },
+            Mutation::CloseEvent { event: EventId(99) },
+            Mutation::SetCapacity {
+                side: Side::User,
+                id: 0,
+                capacity: 0,
+            },
+        ];
+        let mut live = IncrementalArranger::new(toy::table1_instance(), DynamicConfig::default());
+        let _ = live.apply(tail[0].clone());
+        let _ = live.apply(tail[1].clone()).unwrap_err();
+        let _ = live.apply(tail[2].clone());
+
+        let mut state = Some(Session::new(
+            toy::table1_instance(),
+            DynamicConfig::default(),
+        ));
+        let skipped = tail
+            .iter()
+            .filter(|m| {
+                let record = WalRecord::Mutation {
+                    mutation: (*m).clone(),
+                };
+                !apply_record(&mut state, &record, DynamicConfig::default())
+            })
+            .count();
+        assert_eq!(skipped, 1);
+        let recovered = state.unwrap().arranger;
+        assert_eq!(recovered.fingerprint(), live.fingerprint());
+        assert_eq!(recovered.epoch(), live.epoch());
     }
 
     #[test]

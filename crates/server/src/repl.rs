@@ -40,6 +40,7 @@
 //! to the served state) and broadcasts [`Shipment::Resync`] to force
 //! connected replicas through the snapshot path.
 
+use crate::lock;
 use crate::protocol::{err_envelope, get, get_str, get_u64, write_response, Request, ServiceError};
 use crate::recovery::wal_path;
 use crate::service::{ReplicaApplyError, Service};
@@ -199,10 +200,6 @@ impl ReplHub {
         let min = subs.iter().map(|s| s.acked).min();
         (subs.len(), min)
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Runtime replication state embedded in the service. All fields are
@@ -369,6 +366,16 @@ impl ReplState {
 
     pub fn last_seen_head_records(&self) -> u64 {
         self.last_seen_head_records.load(Ordering::SeqCst)
+    }
+
+    /// How far this replica trails the newest head its primary
+    /// advertised, as `(records, bytes)`.
+    pub fn replica_lag(&self) -> (u64, u64) {
+        (
+            self.last_seen_head_records()
+                .saturating_sub(self.remote_records_cursor()),
+            self.last_seen_head().saturating_sub(self.remote_cursor()),
+        )
     }
 
     /// Ask the next handshake to start from scratch (cursor mistrust).
@@ -1051,76 +1058,43 @@ fn follow(service: &Arc<Service>, primary: &str, stop: &Arc<AtomicBool>) -> (Fol
             Ok(v) => v,
             Err(_) => return (FollowEnd::Disconnected, made_progress),
         };
-        // Every stream line from the primary is a heartbeat.
+        // Every stream line from the primary is a heartbeat, and its
+        // advertised head (and address, on pings) updates the lag view.
         service.supervision().note_lease();
-        match get_str(&msg, "repl") {
-            Some("ping") => {
-                if let Some(h) = get_u64(&msg, "head") {
-                    let hr = get_u64(&msg, "head_records").unwrap_or(0);
-                    repl.note_remote(primary_gen, h, hr);
-                }
-                if let Some(adv) = get_str(&msg, "advertise") {
-                    service
-                        .supervision()
-                        .set_primary_hint(Some(adv.to_string()));
-                }
-                // Ack the cursor so the primary's replica-contact clock
-                // keeps running through idle stretches.
-                if writer
-                    .write_all(ack_line(repl.remote_cursor()).as_bytes())
-                    .and_then(|_| writer.flush())
-                    .is_err()
-                {
-                    return (FollowEnd::Disconnected, made_progress);
-                }
-            }
+        if let Some(h) = get_u64(&msg, "head") {
+            let hr = get_u64(&msg, "head_records").unwrap_or(0);
+            repl.note_remote(primary_gen, h, hr);
+        }
+        if let Some(adv) = get_str(&msg, "advertise") {
+            service
+                .supervision()
+                .set_primary_hint(Some(adv.to_string()));
+        }
+        let cursor = match get_str(&msg, "repl") {
+            // Ack the cursor so the primary's replica-contact clock keeps
+            // running through idle stretches.
+            Some("ping") => repl.remote_cursor(),
             Some("snapshot") => {
-                let Some(doc_value) = get(&msg, "doc") else {
-                    return (FollowEnd::Disconnected, made_progress);
-                };
-                let doc: SnapshotDoc = match serde_json::from_value(doc_value.clone()) {
-                    Ok(doc) => doc,
-                    Err(_) => return (FollowEnd::Disconnected, made_progress),
-                };
-                if let Some(h) = get_u64(&msg, "head") {
-                    let hr = get_u64(&msg, "head_records").unwrap_or(0);
-                    repl.note_remote(primary_gen, h, hr);
-                }
-                match service.replica_install_snapshot(doc) {
-                    Ok(cursor) => {
+                let doc = get(&msg, "doc")
+                    .and_then(|doc| serde_json::from_value::<SnapshotDoc>(doc.clone()).ok());
+                match doc.map(|doc| service.replica_install_snapshot(doc)) {
+                    Some(Ok(cursor)) => {
                         made_progress = true;
-                        if writer
-                            .write_all(ack_line(cursor).as_bytes())
-                            .and_then(|_| writer.flush())
-                            .is_err()
-                        {
-                            return (FollowEnd::Disconnected, made_progress);
-                        }
+                        cursor
                     }
-                    Err(_) => return (FollowEnd::Disconnected, made_progress),
+                    _ => return (FollowEnd::Disconnected, made_progress),
                 }
             }
             Some("record") => {
-                let Some(offset) = get_u64(&msg, "offset") else {
-                    return (FollowEnd::Disconnected, made_progress);
-                };
-                if let Some(h) = get_u64(&msg, "head") {
-                    let hr = get_u64(&msg, "head_records").unwrap_or(0);
-                    repl.note_remote(primary_gen, h, hr);
-                }
-                let Some(record_value) = get(&msg, "record") else {
+                let (Some(offset), Some(record_value)) =
+                    (get_u64(&msg, "offset"), get(&msg, "record"))
+                else {
                     return (FollowEnd::Disconnected, made_progress);
                 };
                 match service.replica_apply(offset, record_value) {
                     Ok(cursor) => {
                         made_progress = true;
-                        if writer
-                            .write_all(ack_line(cursor).as_bytes())
-                            .and_then(|_| writer.flush())
-                            .is_err()
-                        {
-                            return (FollowEnd::Disconnected, made_progress);
-                        }
+                        cursor
                     }
                     Err(ReplicaApplyError::Desync { .. }) | Err(ReplicaApplyError::Bad(_)) => {
                         repl.set_force_reset();
@@ -1132,6 +1106,13 @@ fn follow(service: &Arc<Service>, primary: &str, stop: &Arc<AtomicBool>) -> (Fol
                 }
             }
             _ => return (FollowEnd::Disconnected, made_progress),
+        };
+        if writer
+            .write_all(ack_line(cursor).as_bytes())
+            .and_then(|_| writer.flush())
+            .is_err()
+        {
+            return (FollowEnd::Disconnected, made_progress);
         }
     }
 }

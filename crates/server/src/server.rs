@@ -58,6 +58,7 @@
 //! joins everything and returns the final [`MetricsSnapshot`], which
 //! the CLI prints — no request is abandoned mid-flight.
 
+use crate::lock;
 use crate::metrics::{MetricsSnapshot, Op, ServerMetrics};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{self, ServiceError};
@@ -171,6 +172,7 @@ impl Default for ServerConfig {
 
 /// One admitted request travelling from an event loop to a worker.
 struct Job {
+    op: Op,
     request: protocol::Request,
     /// Admission time; latency is measured from here, and the deadline
     /// is anchored to it so queue time counts against the budget.
@@ -471,7 +473,7 @@ impl ConnOut {
     /// Queue-or-write one response. Ordering: bytes already queued keep
     /// their place ahead of this write.
     fn send(&self, bytes: &[u8]) {
-        let mut queued = self.queued.lock().unwrap_or_else(|e| e.into_inner());
+        let mut queued = lock(&self.queued);
         if !queued.is_empty() {
             queued.extend_from_slice(bytes);
             return;
@@ -494,7 +496,7 @@ impl ConnOut {
     /// Drain stashed bytes into the socket; `true` when some remain
     /// (keep polling `POLLOUT`).
     fn flush_pending(&self) -> bool {
-        let mut queued = self.queued.lock().unwrap_or_else(|e| e.into_inner());
+        let mut queued = lock(&self.queued);
         while !queued.is_empty() {
             match (&self.stream).write(&queued) {
                 Ok(0) => {
@@ -516,11 +518,7 @@ impl ConnOut {
     }
 
     fn has_pending(&self) -> bool {
-        !self
-            .queued
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
+        !lock(&self.queued).is_empty()
     }
 }
 
@@ -614,7 +612,7 @@ fn event_loop(
     let mut outbuf: Vec<u8> = Vec::with_capacity(16 * 1024);
     while !ctx.stop.load(Ordering::SeqCst) {
         {
-            let mut inj = injectors[idx].lock().unwrap_or_else(|e| e.into_inner());
+            let mut inj = lock(&injectors[idx]);
             for stream in inj.drain(..) {
                 if let Some(conn) = Conn::adopt(stream) {
                     conns.push(conn);
@@ -691,10 +689,7 @@ fn accept_ready(
                 ctx.service.metrics.record_connection();
                 let target = *next % injectors.len();
                 *next = next.wrapping_add(1);
-                injectors[target]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(stream);
+                lock(&injectors[target]).push(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -794,40 +789,25 @@ fn drain_lines(
         };
         match protocol::parse_request(text) {
             Ok(request) => {
-                if request.op == "replicate" {
+                let op = Op::from_name(&request.op);
+                if op == Op::Replicate {
                     break ConnFate::Hijack(request);
                 }
                 let timeout = protocol::get_u64(&request.body, "timeout_ms")
                     .map_or(ctx.default_timeout, Duration::from_millis);
                 let deadline = received + timeout;
-                if matches!(
-                    request.op.as_str(),
-                    "query_user" | "query_event" | "stats" | "health"
-                ) {
+                if op.is_inline_read() {
                     // Read ops never queue: they run on the loop thread
                     // over epoch-pinned state, out of every solve's way.
-                    let op = Op::from_name(&request.op);
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| ctx.service.handle(&request, deadline)))
-                            .unwrap_or_else(|_| {
-                                Err(ServiceError::new(
-                                    "internal",
-                                    "request handler panicked; see server log",
-                                ))
-                            });
+                    let result = handle_guarded(&ctx.service, &request, deadline);
                     let mark = outbuf.len();
                     match result {
                         Ok(data) => {
                             envelope_bytes_into(outbuf, &protocol::ok_envelope(request.id, data));
-                            // Query responses are deterministic per
-                            // (line, version); stats/health mix in live
-                            // counters, so only queries are cacheable.
                             // Skip the insert if the state moved during
                             // the handler — the response may already
                             // belong to the next version.
-                            if matches!(request.op.as_str(), "query_user" | "query_event")
-                                && ctx.service.state_version() == version
-                            {
+                            if op.is_cacheable() && ctx.service.state_version() == version {
                                 cache.insert(trimmed, op, &outbuf[mark..]);
                             }
                         }
@@ -846,6 +826,7 @@ fn drain_lines(
                     outbuf.clear();
                 }
                 let job = Job {
+                    op,
                     received,
                     deadline,
                     request,
@@ -915,21 +896,11 @@ fn hijack_replica(
 fn worker_loop(rx: &Mutex<Receiver<Job>>, service: &Service) {
     loop {
         // Hold the receiver lock only for the dequeue, not the work.
-        let job = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
+        let job = match lock(rx).recv() {
             Ok(job) => job,
             Err(_) => return, // channel closed: server draining.
         };
-        let op = Op::from_name(&job.request.op);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            service.handle(&job.request, job.deadline)
-        }))
-        .unwrap_or_else(|_| {
-            Err(ServiceError::new(
-                "internal",
-                "request handler panicked; see server log",
-            ))
-        });
-        let envelope = match result {
+        let envelope = match handle_guarded(service, &job.request, job.deadline) {
             Ok(data) => protocol::ok_envelope(job.request.id, data),
             Err(err) => {
                 service.metrics.record_error();
@@ -937,8 +908,25 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, service: &Service) {
             }
         };
         job.writer.send(&envelope_bytes(&envelope));
-        service.metrics.record_request(op, job.received.elapsed());
+        service
+            .metrics
+            .record_request(job.op, job.received.elapsed());
     }
+}
+
+/// [`Service::handle`] behind a panic guard: a handler panic answers a
+/// structured `internal` error instead of killing the loop or worker.
+fn handle_guarded(
+    service: &Service,
+    request: &protocol::Request,
+    deadline: Instant,
+) -> Result<Value, ServiceError> {
+    catch_unwind(AssertUnwindSafe(|| service.handle(request, deadline))).unwrap_or_else(|_| {
+        Err(ServiceError::new(
+            "internal",
+            "request handler panicked; see server log",
+        ))
+    })
 }
 
 /// Serialize one response envelope to its wire line.

@@ -11,19 +11,19 @@
 //!   state change — they never touch the session lock at all;
 //! - `query_user`/`query_event` pin an immutable per-epoch snapshot
 //!   (capacities, the arrangement, and the epoch's shared
-//!   [`GraphFlats`] CSR), rebuilt lazily on the first read after a
-//!   state change and shared by every read in the same epoch;
+//!   [`GraphFlats`] CSR), cut under the session lock by the first read
+//!   after a state change and shared by every later read in the epoch;
 //! - `solve` goes through a coalescing batcher: concurrent solves pin
 //!   one epoch — an `Arc`'d instance plus that epoch's CSR — run one
 //!   budgeted pipeline per distinct parameter group *off* the session
 //!   lock, then re-take it only to adopt the best result and append
 //!   one WAL `Install` record for the whole batch.
 //!
-//! The epoch CSR itself is maintained incrementally by
-//! [`IncrementalArranger::epoch_flats`]: growth mutations extend the
-//! previous epoch's arrays in time proportional to the drift, and
-//! non-growth mutations reuse them outright (bit-identity against a
-//! from-scratch build is property-tested in
+//! The epoch CSR comes from [`IncrementalArranger::epoch_flats`]:
+//! growth mutations (`AddUser`/`AddEvent`) extend the previous epoch's
+//! arrays through [`GraphFlats::extended`], which evaluates only the
+//! new pairs, and every other mutation reuses them outright
+//! (bit-identity against a from-scratch build is property-tested in
 //! `crates/core/tests/graph_incremental.rs`).
 //!
 //! ## Durability
@@ -37,6 +37,10 @@
 //! forces an atomic snapshot at the current WAL offset — recovery
 //! resumes from the snapshot and the old log tail is superseded.
 //!
+//! Live ops, boot recovery and replicas advance one [`Session`] type,
+//! and live ops and replicas share one WAL append path and one snapshot
+//! rotation.
+//!
 //! The WAL lock is only ever taken while the session lock is held (or
 //! for read-only stats), so append order always matches apply order. If
 //! an append or sync fails, the durability layer is **poisoned**: the
@@ -45,9 +49,10 @@
 //! error instead of quietly diverging. Read ops keep working; a restart
 //! recovers the last durable state.
 
-use crate::metrics::ServerMetrics;
+use crate::lock;
+use crate::metrics::{Op, ServerMetrics};
 use crate::protocol::{self, Request, ServiceError};
-use crate::recovery::{self, Recovery};
+use crate::recovery::{self, Recovery, Session};
 use crate::repl::{self, ReplState, Shipment};
 use crate::supervisor::{SupervisorConfig, SupervisorState};
 use crate::wal::{self, FsyncPolicy, SnapshotDoc, WalRecord, WalSink, WalWriter};
@@ -65,7 +70,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Serialize one response field. Failures (a NaN drift, say) become a
@@ -101,15 +106,12 @@ fn wal_failed(detail: impl std::fmt::Display) -> ServiceError {
 /// The shared request handler: arranger state, metrics, and the stop
 /// flag the `shutdown` op raises.
 pub struct Service {
-    state: Mutex<Option<Session>>,
+    /// The session lock: the live session and the dedup table.
+    state: Mutex<Live>,
     /// The WAL half. `None` without `--wal-dir`. Locked only while the
     /// session lock is held (mutating ops) or alone for read-only stats
     /// — never the other way round.
     durability: Mutex<Option<Durability>>,
-    /// Idempotency dedup: the last `(client_id, seq)` and its cached
-    /// response, per client. Locked only under the session lock (or
-    /// alone, briefly, nowhere else) — always after it, never before.
-    dedup: Mutex<DedupTable>,
     /// Replication role, generation, and cursor (all atomics), plus the
     /// fan-out hub for connected replica streams.
     pub(crate) repl: ReplState,
@@ -119,7 +121,7 @@ pub struct Service {
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
     threads: Threads,
-    drift_ratio: f64,
+    config: DynamicConfig,
     /// Monotone state-version clock, bumped (under the session lock) by
     /// every state change. Ties the published summary and the epoch
     /// pins below to the exact state they were cut from.
@@ -136,6 +138,16 @@ pub struct Service {
     /// Solve coalescer: concurrent solves in one epoch share one
     /// pipeline run per distinct parameter group.
     batcher: SolveBatcher,
+}
+
+/// What the session lock guards.
+#[derive(Default)]
+struct Live {
+    session: Option<Session>,
+    /// Idempotency dedup: the last `(client_id, seq)` and its cached
+    /// response, per client. It outlives any one session — a `load`
+    /// keeps it — so it sits beside the session, not inside it.
+    dedup: DedupTable,
 }
 
 /// The scalars `health` and `stats` serve without the session lock,
@@ -199,19 +211,16 @@ struct SolveSlot {
 
 impl SolveSlot {
     fn fill(&self, result: Result<Value, ServiceError>) {
-        *self.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+        *lock(&self.done) = Some(result);
         self.cv.notify_all();
     }
 
     fn filled(&self) -> bool {
-        self.done
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
+        lock(&self.done).is_some()
     }
 
     fn take(&self) -> Result<Value, ServiceError> {
-        let mut guard = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock(&self.done);
         loop {
             if let Some(result) = guard.take() {
                 return result;
@@ -249,7 +258,7 @@ impl SolveBatcher {
         deadline: Instant,
     ) -> Result<Value, ServiceError> {
         let slot = Arc::new(SolveSlot::default());
-        let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let mut gate = lock(&self.gate);
         gate.pending.push(PendingSolve {
             spec,
             deadline,
@@ -274,7 +283,7 @@ impl SolveBatcher {
                         }
                     }
                 }
-                let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+                let mut gate = lock(&self.gate);
                 gate.running = false;
                 drop(gate);
                 self.cv.notify_all();
@@ -361,10 +370,6 @@ impl DedupTable {
             self.store(client.clone(), *seq, deduped_marker());
         }
     }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// Why a replica could not apply a shipped record.
@@ -377,13 +382,6 @@ pub enum ReplicaApplyError {
     Bad(String),
     /// The local WAL append failed; durability is poisoned.
     Wal(String),
-}
-
-/// A loaded instance under management: the arranger plus the pristine
-/// base instance that snapshots embed.
-struct Session {
-    arranger: IncrementalArranger,
-    base: Instance,
 }
 
 /// The live durability state behind a `--wal-dir`. The writer's sink
@@ -400,6 +398,122 @@ struct Durability {
     /// Set when an append/sync failed: memory and log may disagree, so
     /// state-changing ops are refused until a restart re-syncs them.
     poisoned: Option<String>,
+    metrics: Arc<ServerMetrics>,
+}
+
+/// Serialize a WAL record once: the same bytes go to the local WAL
+/// frame and, verbatim, to every connected replica, which appends them
+/// byte-for-byte — replica WALs stay bit-identical to ours.
+fn encode(record: &WalRecord) -> Result<String, String> {
+    serde_json::to_string(record).map_err(|e| format!("encoding WAL record: {e}"))
+}
+
+impl Durability {
+    /// Mirror the writer's running totals into the metrics.
+    fn mirror(&self) {
+        self.metrics.record_wal(
+            self.writer.records(),
+            self.writer.offset(),
+            self.writer.fsyncs(),
+        );
+    }
+
+    /// The one append path, for live ops and replicas alike: append the
+    /// encoded `record`, poison durability if the write fails, mirror
+    /// the writer into the metrics, and ship the same bytes to every
+    /// connected replica. Returns the poison detail on failure; the
+    /// caller must not ack.
+    fn append(
+        &mut self,
+        record: &WalRecord,
+        payload: String,
+        repl: &ReplState,
+    ) -> Result<(), String> {
+        if let Some(why) = &self.poisoned {
+            return Err(why.clone());
+        }
+        let start = self
+            .writer
+            .append_payload(payload.as_bytes())
+            .map_err(|e| {
+                let detail = e.to_string();
+                self.poisoned = Some(detail.clone());
+                detail
+            })?;
+        if matches!(record, WalRecord::Load { .. }) {
+            // A fresh session restarts the epoch clock; the auto-snapshot
+            // cadence restarts with it.
+            self.last_snapshot_epoch = None;
+        }
+        self.mirror();
+        if repl.hub.has_subscribers() {
+            let base = repl.remote_base();
+            let records_base = repl.remote_records_base();
+            let mut head = base + self.writer.offset();
+            let mut head_records = records_base + self.writer.records();
+            if repl.is_replica() {
+                // A chained replica advertises the head its own primary
+                // advertised, so its followers see their true lag.
+                head = head.max(repl.last_seen_head());
+                head_records = head_records.max(repl.last_seen_head_records());
+            }
+            repl.hub.publish(Shipment::Record {
+                offset: base + start,
+                head,
+                head_records,
+                payload: Arc::new(payload),
+            });
+        }
+        Ok(())
+    }
+
+    /// Whether the auto-snapshot cadence is due at `epoch`.
+    fn snapshot_due(&self, epoch: u64) -> bool {
+        match self.snapshot_every {
+            Some(every) if every > 0 && self.poisoned.is_none() => {
+                epoch.saturating_sub(self.last_snapshot_epoch.unwrap_or(0)) >= every
+            }
+            _ => false,
+        }
+    }
+
+    /// The one snapshot rotation: sync the WAL (the snapshot must not
+    /// claim bytes that are not yet on disk), atomically replace the
+    /// durability snapshot with `session` at the writer's offset, and
+    /// book it. A failure is counted and returned.
+    fn rotate_snapshot(&mut self, session: &Session) -> std::io::Result<()> {
+        let written = self.writer.sync_now().and_then(|()| {
+            let doc = session.snapshot_doc(self.writer.offset(), self.writer.records());
+            wal::write_snapshot(&recovery::snapshot_path(&self.dir), &doc)
+        });
+        match written {
+            Ok(()) => {
+                let epoch = session.arranger.epoch();
+                self.last_snapshot_epoch = Some(epoch);
+                self.metrics.record_snapshot(epoch);
+                self.mirror();
+                Ok(())
+            }
+            Err(e) => {
+                self.metrics.record_snapshot_error();
+                Err(e)
+            }
+        }
+    }
+}
+
+/// The arranger summary `load`, `restore` and `stats` answer with.
+fn summary(arranger: &IncrementalArranger, fingerprint: u64) -> Result<Value, ServiceError> {
+    Ok(Value::Object(vec![
+        field("epoch", &arranger.epoch())?,
+        field("num_events", &arranger.instance().num_events())?,
+        field("num_users", &arranger.instance().num_users())?,
+        field("pairs", &arranger.arrangement().len())?,
+        field("max_sum", &arranger.max_sum())?,
+        field("drift", &arranger.drift())?,
+        field("needs_rebuild", &arranger.needs_rebuild())?,
+        field("fingerprint", &fingerprint)?,
+    ]))
 }
 
 impl Service {
@@ -410,15 +524,16 @@ impl Service {
         drift_ratio: f64,
     ) -> Self {
         Service {
-            state: Mutex::new(None),
+            state: Mutex::new(Live::default()),
             durability: Mutex::new(None),
-            dedup: Mutex::new(DedupTable::default()),
             repl: ReplState::new(),
             sup: SupervisorState::new(),
             metrics,
             stop,
             threads,
-            drift_ratio,
+            config: DynamicConfig {
+                rebuild_drift_ratio: drift_ratio,
+            },
             state_version: AtomicU64::new(0),
             summary_cell: Mutex::new(None),
             read_pin: Mutex::new(None),
@@ -450,43 +565,29 @@ impl Service {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Option<Session>> {
-        // A worker that panicked inside a handler poisons the lock; the
-        // panic was already caught and reported as an `internal` error,
-        // so keep serving rather than wedging every later request.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn dlock(&self) -> MutexGuard<'_, Option<Durability>> {
-        self.durability.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn dedup_lock(&self) -> MutexGuard<'_, DedupTable> {
-        self.dedup.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn summary_lock(&self) -> MutexGuard<'_, Option<StateSummary>> {
-        self.summary_cell.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Republish the scalar summary and bump the state version. Must be
     /// called with the session lock held after every state change —
     /// it is what keeps `health`/`stats` and the epoch pins coherent
-    /// without their ever taking the session lock.
-    fn publish_session(&self, session: &Session) {
+    /// without their ever taking the session lock. Returns the summary,
+    /// so an op that answers with it hashes the arrangement once.
+    fn publish_session(&self, session: &Session) -> Result<Value, ServiceError> {
+        let arranger = &session.arranger;
+        let fingerprint = arranger.fingerprint();
+        let summary = summary(arranger, fingerprint);
         let cell = StateSummary {
-            epoch: session.arranger.epoch(),
-            fingerprint: session.arranger.fingerprint(),
-            summary: Self::summary(&session.arranger).unwrap_or(Value::Null),
+            epoch: arranger.epoch(),
+            fingerprint,
+            summary: summary.clone().unwrap_or(Value::Null),
         };
         self.state_version.fetch_add(1, Ordering::SeqCst);
-        *self.summary_lock() = Some(cell);
+        *lock(&self.summary_cell) = Some(cell);
+        summary
     }
 
     /// Publish "no session" (replica resync wipes the state).
     fn publish_cleared(&self) {
         self.state_version.fetch_add(1, Ordering::SeqCst);
-        *self.summary_lock() = None;
+        *lock(&self.summary_cell) = None;
     }
 
     /// The monotonic state-version counter, bumped on every published
@@ -500,11 +601,11 @@ impl Service {
     /// Pin the current epoch for a point read. The fast path is a
     /// version check plus an `Arc` clone; only the first read after a
     /// state change takes the session lock, to cut a fresh snapshot
-    /// (reusing — or drift-proportionally extending — the epoch CSR).
+    /// over the epoch CSR (reused, extended, or built).
     fn pin_read(&self) -> Result<Arc<ReadSnapshot>, ServiceError> {
         let version = self.state_version.load(Ordering::SeqCst);
         {
-            let pin = self.read_pin.lock().unwrap_or_else(|e| e.into_inner());
+            let pin = lock(&self.read_pin);
             if let Some(snap) = pin.as_ref() {
                 if snap.version == version {
                     self.metrics.record_epoch_pin(false);
@@ -512,8 +613,8 @@ impl Service {
                 }
             }
         }
-        let mut guard = self.lock();
-        let session = guard.as_mut().ok_or_else(no_instance)?;
+        let mut live = lock(&self.state);
+        let session = live.session.as_mut().ok_or_else(no_instance)?;
         // Re-read under the lock: the version cannot advance while we
         // hold it, so the pin is cut from exactly this version's state.
         let version = self.state_version.load(Ordering::SeqCst);
@@ -528,7 +629,7 @@ impl Service {
             flats,
             arrangement: Arc::new(session.arranger.arrangement().clone()),
         });
-        *self.read_pin.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&snap));
+        *lock(&self.read_pin) = Some(Arc::clone(&snap));
         self.metrics.record_epoch_pin(true);
         Ok(snap)
     }
@@ -539,15 +640,15 @@ impl Service {
     fn pin_solve(&self) -> Option<Arc<SolvePin>> {
         let version = self.state_version.load(Ordering::SeqCst);
         {
-            let pin = self.solve_pin.lock().unwrap_or_else(|e| e.into_inner());
+            let pin = lock(&self.solve_pin);
             if let Some(p) = pin.as_ref() {
                 if p.version == version {
                     return Some(Arc::clone(p));
                 }
             }
         }
-        let mut guard = self.lock();
-        let session = guard.as_mut()?;
+        let mut live = lock(&self.state);
+        let session = live.session.as_mut()?;
         let version = self.state_version.load(Ordering::SeqCst);
         let flats = session.arranger.epoch_flats(self.threads);
         let pin = Arc::new(SolvePin {
@@ -555,7 +656,7 @@ impl Service {
             inst: Arc::new(session.arranger.instance().clone()),
             flats,
         });
-        *self.solve_pin.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&pin));
+        *lock(&self.solve_pin) = Some(Arc::clone(&pin));
         Some(pin)
     }
 
@@ -570,147 +671,63 @@ impl Service {
         policy: FsyncPolicy,
         snapshot_every: Option<u64>,
     ) {
-        let writer = writer.boxed();
         self.metrics.record_recovery(
             recovery.replayed,
             recovery.skipped,
             recovery.truncated_bytes,
         );
-        self.metrics
-            .record_wal(writer.records(), writer.offset(), writer.fsyncs());
-        self.dedup_lock().seed(&recovery.dedup_keys);
-        if let Some(found) = recovery.session {
-            let session = Session {
-                arranger: found.arranger,
-                base: found.base,
-            };
-            self.publish_session(&session);
-            *self.lock() = Some(session);
-        }
-        *self.dlock() = Some(Durability {
+        let durability = Durability {
             dir,
-            writer,
+            writer: writer.boxed(),
             policy,
             snapshot_every,
             last_snapshot_epoch: recovery.snapshot_epoch,
             poisoned: None,
-        });
+            metrics: Arc::clone(&self.metrics),
+        };
+        durability.mirror();
+        let mut live = lock(&self.state);
+        live.dedup.seed(&recovery.dedup_keys);
+        if let Some(session) = recovery.session {
+            let _ = self.publish_session(&session);
+            live.session = Some(session);
+        }
+        *lock(&self.durability) = Some(durability);
     }
 
     /// Force any buffered WAL bytes to disk (the drain barrier). A
     /// no-op without a WAL or with a poisoned one.
     pub fn sync_wal(&self) -> std::io::Result<()> {
-        let mut guard = self.dlock();
-        if let Some(d) = guard.as_mut() {
+        if let Some(d) = lock(&self.durability).as_mut() {
             if d.poisoned.is_none() {
                 d.writer.sync_now()?;
-                self.metrics
-                    .record_wal(d.writer.records(), d.writer.offset(), d.writer.fsyncs());
+                d.mirror();
             }
         }
         Ok(())
     }
 
-    /// Append one record to the WAL (no-op without one), mirroring the
-    /// writer's counters into the metrics. Must be called with the
-    /// session lock held so append order matches apply order. An error
-    /// poisons durability: the caller must not ack the request.
+    /// Append one record to the WAL (no-op without one). Must be called
+    /// with the session lock held so append order matches apply order.
+    /// An error poisons durability: the caller must not ack the request.
     fn log_record(&self, record: &WalRecord) -> Result<(), ServiceError> {
-        let mut guard = self.dlock();
+        let mut guard = lock(&self.durability);
         let Some(d) = guard.as_mut() else {
             return Ok(());
         };
-        if let Some(why) = &d.poisoned {
-            return Err(wal_failed(why));
-        }
-        // Serialize once: the same bytes go to the local WAL frame and
-        // (verbatim) to every connected replica, which appends them
-        // byte-for-byte — replica WALs stay bit-identical to ours.
-        let payload = serde_json::to_string(record)
-            .map_err(|e| ServiceError::new("internal", format!("encoding WAL record: {e}")))?;
-        match d.writer.append_payload(payload.as_bytes()) {
-            Ok(start) => {
-                if matches!(record, WalRecord::Load { .. }) {
-                    // A fresh session restarts the epoch clock; the
-                    // auto-snapshot cadence restarts with it.
-                    d.last_snapshot_epoch = None;
-                }
-                self.metrics
-                    .record_wal(d.writer.records(), d.writer.offset(), d.writer.fsyncs());
-                if self.repl.hub.has_subscribers() {
-                    let base = self.repl.remote_base();
-                    let records_base = self.repl.remote_records_base();
-                    self.repl.hub.publish(Shipment::Record {
-                        offset: base + start,
-                        head: base + d.writer.offset(),
-                        head_records: records_base + d.writer.records(),
-                        payload: Arc::new(payload),
-                    });
-                }
-                Ok(())
-            }
-            Err(e) => {
-                let detail = e.to_string();
-                d.poisoned = Some(detail.clone());
-                Err(wal_failed(detail))
-            }
-        }
+        let payload = encode(record).map_err(|e| ServiceError::new("internal", e))?;
+        d.append(record, payload, &self.repl).map_err(wal_failed)
     }
 
     /// Rotate an auto-snapshot if the cadence is due. Failures are
     /// counted but never fail the request — the WAL already holds the
     /// acked history, so a missed rotation only costs recovery time.
     fn maybe_auto_snapshot(&self, session: &Session) {
-        let mut guard = self.dlock();
-        let Some(d) = guard.as_mut() else {
-            return;
-        };
-        let Some(every) = d.snapshot_every else {
-            return;
-        };
-        if every == 0 || d.poisoned.is_some() {
-            return;
-        }
-        let epoch = session.arranger.epoch();
-        let since = match d.last_snapshot_epoch {
-            Some(at) => epoch.saturating_sub(at),
-            None => epoch,
-        };
-        if since < every {
-            return;
-        }
-        match Self::cut_snapshot(d, session.arranger(), &session.base) {
-            Ok(()) => {
-                d.last_snapshot_epoch = Some(epoch);
-                self.metrics.record_snapshot(epoch);
-                self.metrics
-                    .record_wal(d.writer.records(), d.writer.offset(), d.writer.fsyncs());
+        if let Some(d) = lock(&self.durability).as_mut() {
+            if d.snapshot_due(session.arranger.epoch()) {
+                let _ = d.rotate_snapshot(session);
             }
-            Err(_) => self.metrics.record_snapshot_error(),
         }
-    }
-
-    /// Write the durability snapshot for `arranger` at the writer's
-    /// current offset: sync the WAL first (the snapshot must not claim
-    /// bytes that are not yet on disk), then atomically rotate the file.
-    fn cut_snapshot(
-        d: &mut Durability,
-        arranger: &IncrementalArranger,
-        base: &Instance,
-    ) -> std::io::Result<()> {
-        d.writer.sync_now()?;
-        let doc = SnapshotDoc {
-            version: 1,
-            wal_offset: d.writer.offset(),
-            wal_records: d.writer.records(),
-            epoch: arranger.epoch(),
-            base: base.clone(),
-            live: arranger.instance().clone(),
-            log: arranger.log().to_vec(),
-            arrangement: arranger.arrangement().clone(),
-            baseline: arranger.baseline_max_sum(),
-        };
-        wal::write_snapshot(&recovery::snapshot_path(&d.dir), &doc)
     }
 
     /// Dispatch one request. `deadline` is the request's admission time
@@ -724,13 +741,13 @@ impl Service {
                 "request timed out in queue before a worker picked it up",
             ));
         }
+        let op = Op::from_name(&request.op);
         // A replica serves reads but refuses mutations with a stable
         // code — clients fail over to the primary (or wait for a
         // promote) instead of diverging the follower. The rejection
         // carries the primary's address when known, so a misdirected
         // client self-corrects instead of erroring forever.
-        let writes = matches!(request.op.as_str(), "load" | "mutate" | "solve" | "restore");
-        if self.repl.is_replica() && writes {
+        if self.repl.is_replica() && op.is_write() {
             let mut error = ServiceError::new(
                 "read_only",
                 format!(
@@ -747,7 +764,7 @@ impl Service {
         // A fenced supervised primary refuses writes: the replicas it
         // lost contact with may be electing a successor, and acking a
         // write now is exactly how split-brain happens.
-        if writes && self.sup.enabled() && !self.repl.is_replica() && self.sup.fenced() {
+        if op.is_write() && self.sup.enabled() && !self.repl.is_replica() && self.sup.fenced() {
             let mut error = ServiceError::new(
                 "lease_lost",
                 "this primary is fenced (replica contact lost, or probation \
@@ -760,50 +777,28 @@ impl Service {
             }
             return Err(error);
         }
-        match request.op.as_str() {
-            "load" => self.load(&request.body),
-            "mutate" => self.mutate(&request.body),
-            "query_user" => self.query_user(&request.body),
-            "query_event" => self.query_event(&request.body),
-            "stats" => self.stats(),
-            "health" => self.health(),
-            "promote" => self.promote(),
-            "solve" => self.solve(&request.body, deadline),
-            "snapshot" => self.snapshot(&request.body),
-            "restore" => self.restore(&request.body),
-            "shutdown" => {
+        match op {
+            Op::Load => self.load(&request.body),
+            Op::Mutate => self.mutate(&request.body),
+            Op::QueryUser => self.query_user(&request.body),
+            Op::QueryEvent => self.query_event(&request.body),
+            Op::Stats => self.stats(),
+            Op::Health => self.health(),
+            Op::Promote => self.promote(),
+            Op::Solve => self.solve(&request.body, deadline),
+            Op::Snapshot => self.snapshot(&request.body),
+            Op::Restore => self.restore(&request.body),
+            Op::Shutdown => {
                 self.stop.store(true, Ordering::SeqCst);
                 Ok(json!({"stopping": true}))
             }
-            other => Err(ServiceError::new(
+            // `replicate` never gets here: the event loop hands its
+            // connection to a stream thread.
+            Op::Replicate | Op::Unknown => Err(ServiceError::new(
                 "unknown_op",
-                format!("unknown op {other:?}"),
+                format!("unknown op {:?}", request.op),
             )),
         }
-    }
-
-    fn with_session<T>(
-        &self,
-        f: impl FnOnce(&mut Session) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
-        let mut guard = self.lock();
-        match guard.as_mut() {
-            Some(session) => f(session),
-            None => Err(no_instance()),
-        }
-    }
-
-    fn summary(arranger: &IncrementalArranger) -> Result<Value, ServiceError> {
-        Ok(Value::Object(vec![
-            field("epoch", &arranger.epoch())?,
-            field("num_events", &arranger.instance().num_events())?,
-            field("num_users", &arranger.instance().num_users())?,
-            field("pairs", &arranger.arrangement().len())?,
-            field("max_sum", &arranger.max_sum())?,
-            field("drift", &arranger.drift())?,
-            field("needs_rebuild", &arranger.needs_rebuild())?,
-            field("fingerprint", &arranger.fingerprint())?,
-        ]))
     }
 
     /// `load`: adopt an instance, inline (`"instance": {…}`) or from a
@@ -829,24 +824,14 @@ impl Service {
                 ))
             }
         };
-        let mut guard = self.lock();
+        let mut live = lock(&self.state);
         self.log_record(&WalRecord::Load {
             instance: instance.clone(),
         })?;
-        let arranger = IncrementalArranger::new(
-            instance.clone(),
-            DynamicConfig {
-                rebuild_drift_ratio: self.drift_ratio,
-            },
-        );
-        let summary = Self::summary(&arranger)?;
-        let session = Session {
-            arranger,
-            base: instance,
-        };
-        self.publish_session(&session);
-        *guard = Some(session);
-        Ok(summary)
+        let session = Session::new(instance, self.config);
+        let summary = self.publish_session(&session);
+        live.session = Some(session);
+        summary
     }
 
     /// `mutate`: apply one [`Mutation`] with localized repair. The
@@ -873,63 +858,64 @@ impl Service {
                 ))
             }
         };
-        self.with_session(|session| {
-            if let Some((client, seq)) = &key {
-                match self.dedup_lock().check(client, *seq) {
-                    DedupCheck::Hit(response) => {
-                        // A retry of an already-applied mutation: replay
-                        // the original ack, apply nothing.
-                        self.metrics.record_dedup_hit();
-                        return Ok(response);
-                    }
-                    DedupCheck::Stale(latest) => {
-                        return Err(ServiceError::new(
-                            "stale_seq",
-                            format!(
-                                "seq {seq} is behind the newest seq {latest} \
-                                 seen for client {client:?}"
-                            ),
-                        ));
-                    }
-                    DedupCheck::Fresh => {}
+        let mut live = lock(&self.state);
+        let Live { session, dedup } = &mut *live;
+        let session = session.as_mut().ok_or_else(no_instance)?;
+        if let Some((client, seq)) = &key {
+            match dedup.check(client, *seq) {
+                DedupCheck::Hit(response) => {
+                    // A retry of an already-applied mutation: replay the
+                    // original ack, apply nothing.
+                    self.metrics.record_dedup_hit();
+                    return Ok(response);
                 }
+                DedupCheck::Stale(latest) => {
+                    return Err(ServiceError::new(
+                        "stale_seq",
+                        format!(
+                            "seq {seq} is behind the newest seq {latest} \
+                             seen for client {client:?}"
+                        ),
+                    ));
+                }
+                DedupCheck::Fresh => {}
             }
-            let record = match &key {
-                Some((client, seq)) => WalRecord::KeyedMutation {
-                    client: client.clone(),
-                    seq: *seq,
-                    mutation: mutation.clone(),
-                },
-                None => WalRecord::Mutation {
-                    mutation: mutation.clone(),
-                },
-            };
-            self.log_record(&record)?;
-            let report = session
-                .arranger
-                .apply(mutation)
-                .map_err(|e| ServiceError::new("mutation_failed", e.to_string()))?;
-            self.metrics
-                .record_repair(report.evicted, report.reassigned);
-            let response = Value::Object(vec![
-                field("epoch", &report.epoch)?,
-                field("evicted", &report.evicted)?,
-                field("reassigned", &report.reassigned)?,
-                field("max_sum", &report.max_sum_after)?,
-                field("delta", &report.max_sum_delta())?,
-                field("drift", &session.arranger.drift())?,
-                field("needs_rebuild", &session.arranger.needs_rebuild())?,
-            ]);
-            // Arm the dedup only for an *applied* mutation: a failed
-            // one fails identically on retry (the arranger is
-            // deterministic), so re-trying it is harmless and correct.
-            if let Some((client, seq)) = key {
-                self.dedup_lock().store(client, seq, response.clone());
-            }
-            self.publish_session(session);
-            self.maybe_auto_snapshot(session);
-            Ok(response)
-        })
+        }
+        let record = match &key {
+            Some((client, seq)) => WalRecord::KeyedMutation {
+                client: client.clone(),
+                seq: *seq,
+                mutation: mutation.clone(),
+            },
+            None => WalRecord::Mutation {
+                mutation: mutation.clone(),
+            },
+        };
+        self.log_record(&record)?;
+        let report = session
+            .arranger
+            .apply(mutation)
+            .map_err(|e| ServiceError::new("mutation_failed", e.to_string()))?;
+        self.metrics
+            .record_repair(report.evicted, report.reassigned);
+        let response = Value::Object(vec![
+            field("epoch", &report.epoch)?,
+            field("evicted", &report.evicted)?,
+            field("reassigned", &report.reassigned)?,
+            field("max_sum", &report.max_sum_after)?,
+            field("delta", &report.max_sum_delta())?,
+            field("drift", &session.arranger.drift())?,
+            field("needs_rebuild", &session.arranger.needs_rebuild())?,
+        ]);
+        // Arm the dedup only for an *applied* mutation: a failed one
+        // fails identically on retry (the arranger is deterministic), so
+        // re-trying it is harmless and correct.
+        if let Some((client, seq)) = key {
+            dedup.store(client, seq, response.clone());
+        }
+        let _ = self.publish_session(session);
+        self.maybe_auto_snapshot(session);
+        Ok(response)
     }
 
     /// `query_user`: a user's current assignments with similarities,
@@ -1002,7 +988,7 @@ impl Service {
     /// cell — never the session lock — so it stays flat while mutates
     /// and solves contend.
     fn stats(&self) -> Result<Value, ServiceError> {
-        let arranger = match self.summary_lock().as_ref() {
+        let arranger = match lock(&self.summary_cell).as_ref() {
             Some(cell) => cell.summary.clone(),
             None => Value::Null,
         };
@@ -1019,7 +1005,7 @@ impl Service {
                 ]))
             })
             .collect::<Result<Vec<Value>, ServiceError>>()?;
-        let durability = match self.dlock().as_ref() {
+        let durability = match lock(&self.durability).as_ref() {
             Some(d) => Value::Object(vec![
                 field("wal_dir", &d.dir.display().to_string())?,
                 field("fsync", &d.policy.to_string())?,
@@ -1044,24 +1030,13 @@ impl Service {
     /// reports).
     fn replication_stats(&self) -> Result<Value, ServiceError> {
         if self.repl.is_replica() {
+            let (lag_records, lag_bytes) = self.repl.replica_lag();
             Ok(Value::Object(vec![
                 field("role", &"replica")?,
                 field("generation", &self.repl.generation())?,
                 field("connected", &self.repl.connected())?,
-                field(
-                    "lag_records",
-                    &self
-                        .repl
-                        .last_seen_head_records()
-                        .saturating_sub(self.repl.remote_records_cursor()),
-                )?,
-                field(
-                    "lag_bytes",
-                    &self
-                        .repl
-                        .last_seen_head()
-                        .saturating_sub(self.repl.remote_cursor()),
-                )?,
+                field("lag_records", &lag_records)?,
+                field("lag_bytes", &lag_bytes)?,
                 field("remote_offset", &self.repl.remote_cursor())?,
             ]))
         } else {
@@ -1087,11 +1062,11 @@ impl Service {
         // From the published summary cell, never the session lock: a
         // supervisor probe or load balancer must get an answer even
         // while a long mutation stream hammers the arranger.
-        let (epoch, fingerprint) = match self.summary_lock().as_ref() {
+        let (epoch, fingerprint) = match lock(&self.summary_cell).as_ref() {
             Some(cell) => (Some(cell.epoch), Some(cell.fingerprint)),
             None => (None, None),
         };
-        let (wal, wal_offset): (Option<&str>, u64) = match self.dlock().as_ref() {
+        let (wal, wal_offset): (Option<&str>, u64) = match lock(&self.durability).as_ref() {
             Some(d) if d.poisoned.is_some() => (Some("failed"), d.writer.offset()),
             Some(d) => (Some("ok"), d.writer.offset()),
             None => (None, 0),
@@ -1115,19 +1090,8 @@ impl Service {
             self.repl.remote_base() + wal_offset
         };
         let (connected, lag_records, lag_bytes) = if replica {
-            (
-                Some(self.repl.connected()),
-                Some(
-                    self.repl
-                        .last_seen_head_records()
-                        .saturating_sub(self.repl.remote_records_cursor()),
-                ),
-                Some(
-                    self.repl
-                        .last_seen_head()
-                        .saturating_sub(self.repl.remote_cursor()),
-                ),
-            )
+            let (records, bytes) = self.repl.replica_lag();
+            (Some(self.repl.connected()), Some(records), Some(bytes))
         } else {
             (None, None, None)
         };
@@ -1171,7 +1135,10 @@ impl Service {
             ]));
         }
         let generation = self.promote_to_primary()?;
-        let epoch = self.lock().as_ref().map(|s| s.arranger.epoch());
+        let epoch = lock(&self.state)
+            .session
+            .as_ref()
+            .map(|s| s.arranger.epoch());
         Ok(Value::Object(vec![
             field("promoted", &true)?,
             field("role", &"primary")?,
@@ -1189,7 +1156,7 @@ impl Service {
     pub(crate) fn promote_to_primary(&self) -> Result<u64, ServiceError> {
         let generation = self.repl.generation().max(self.repl.last_seen_generation()) + 1;
         {
-            let guard = self.dlock();
+            let guard = lock(&self.durability);
             if let Some(d) = guard.as_ref() {
                 let mut meta = self.repl.meta();
                 meta.generation = generation;
@@ -1200,7 +1167,7 @@ impl Service {
         self.repl.set_generation(generation);
         self.repl.set_role_replica(false);
         self.repl.set_connected(false);
-        if self.dlock().is_some() {
+        if lock(&self.durability).is_some() {
             // The new primary must feed the losing replicas.
             self.repl.set_accepts_replicas(true);
         }
@@ -1342,8 +1309,8 @@ impl Service {
             .map(|(i, _)| i)
             .unwrap_or(0);
         let adopted: Result<(u64, f64, usize), ServiceError> = {
-            let mut guard = self.lock();
-            match guard.as_mut() {
+            let mut live = lock(&self.state);
+            match live.session.as_mut() {
                 None => Err(no_instance()),
                 Some(session) => {
                     let (best_spec, _, best_outcome) = &solved[best];
@@ -1367,21 +1334,18 @@ impl Service {
                         let pipeline = self.pipeline_for(best_spec, remaining);
                         session.arranger.rebuild(&pipeline);
                     }
-                    let logged = self.log_record(&WalRecord::Install {
+                    self.log_record(&WalRecord::Install {
                         arrangement: session.arranger.arrangement().clone(),
                         baseline: session.arranger.baseline_max_sum(),
-                    });
-                    match logged {
-                        Ok(()) => {
-                            self.publish_session(session);
-                            Ok((
-                                session.arranger.epoch(),
-                                session.arranger.max_sum(),
-                                session.arranger.arrangement().len(),
-                            ))
-                        }
-                        Err(e) => Err(e),
-                    }
+                    })
+                    .map(|()| {
+                        let _ = self.publish_session(session);
+                        (
+                            session.arranger.epoch(),
+                            session.arranger.max_sum(),
+                            session.arranger.arrangement().len(),
+                        )
+                    })
                 }
             }
         };
@@ -1437,26 +1401,26 @@ impl Service {
     fn snapshot(&self, body: &Value) -> Result<Value, ServiceError> {
         let path = protocol::get_str(body, "path")
             .ok_or_else(|| bad_request("snapshot needs a \"path\""))?;
-        self.with_session(|session| {
-            let doc = Value::Object(vec![
-                field("instance", &session.base)?,
-                field("log", &session.arranger.log().to_vec())?,
-                field("arrangement", session.arranger.arrangement())?,
-                field("baseline", &session.arranger.baseline_max_sum())?,
-                field("epoch", &session.arranger.epoch())?,
-            ]);
-            let mut bytes = Vec::with_capacity(64 * 1024);
-            serde_json::to_writer(&mut bytes, &doc)
-                .map_err(|e| ServiceError::new("io", format!("encoding snapshot: {e}")))?;
-            bytes.push(b'\n');
-            wal::atomic_write(std::path::Path::new(path), &bytes)
-                .map_err(|e| ServiceError::new("io", format!("writing {path}: {e}")))?;
-            Ok(Value::Object(vec![
-                field("path", &path)?,
-                field("epoch", &session.arranger.epoch())?,
-                field("mutations", &session.arranger.log().len())?,
-            ]))
-        })
+        let live = lock(&self.state);
+        let session = live.session.as_ref().ok_or_else(no_instance)?;
+        let doc = Value::Object(vec![
+            field("instance", &session.base)?,
+            field("log", &session.arranger.log().to_vec())?,
+            field("arrangement", session.arranger.arrangement())?,
+            field("baseline", &session.arranger.baseline_max_sum())?,
+            field("epoch", &session.arranger.epoch())?,
+        ]);
+        let mut bytes = Vec::with_capacity(64 * 1024);
+        serde_json::to_writer(&mut bytes, &doc)
+            .map_err(|e| ServiceError::new("io", format!("encoding snapshot: {e}")))?;
+        bytes.push(b'\n');
+        wal::atomic_write(std::path::Path::new(path), &bytes)
+            .map_err(|e| ServiceError::new("io", format!("writing {path}: {e}")))?;
+        Ok(Value::Object(vec![
+            field("path", &path)?,
+            field("epoch", &session.arranger.epoch())?,
+            field("mutations", &session.arranger.log().len())?,
+        ]))
     }
 
     /// `restore`: rebuild a session from a snapshot file. The mutation
@@ -1488,14 +1452,8 @@ impl Service {
         let baseline: f64 = serde_json::from_value(pick("baseline")?)
             .map_err(|e| bad_request(format!("bad snapshot baseline: {e}")))?;
 
-        let mut arranger = IncrementalArranger::replay(
-            base.clone(),
-            &log,
-            DynamicConfig {
-                rebuild_drift_ratio: self.drift_ratio,
-            },
-        )
-        .map_err(|e| ServiceError::new("mutation_failed", format!("replaying {path}: {e}")))?;
+        let mut arranger = IncrementalArranger::replay(base.clone(), &log, self.config)
+            .map_err(|e| ServiceError::new("mutation_failed", format!("replaying {path}: {e}")))?;
         arranger.install(arrangement, baseline).map_err(|violations| {
             ServiceError::new(
                 "infeasible_snapshot",
@@ -1506,59 +1464,34 @@ impl Service {
                 ),
             )
         })?;
-        let summary = Self::summary(&arranger)?;
-        let mut guard = self.lock();
-        self.persist_restored(&arranger, &base)?;
-        // Restore is not WAL-logged: replaying the log from below this
-        // offset no longer reproduces the served state. Raise the
-        // replication floor (resume below it is refused) and force
-        // connected replicas through the snapshot catch-up path.
-        {
-            let dguard = self.dlock();
-            if let Some(d) = dguard.as_ref() {
-                self.repl.set_floor(d.writer.offset());
-                let _ = repl::store_meta(&d.dir, &self.repl.meta());
-            }
-        }
-        self.repl.hub.publish(Shipment::Resync);
         let session = Session { arranger, base };
-        self.publish_session(&session);
-        *guard = Some(session);
-        Ok(summary)
+        let mut live = lock(&self.state);
+        self.persist_restored(&session)?;
+        self.repl.hub.publish(Shipment::Resync);
+        let summary = self.publish_session(&session);
+        live.session = Some(session);
+        summary
     }
 
     /// Make a restored session durable: force a durability snapshot at
-    /// the current WAL offset (superseding the logged history). A no-op
+    /// the current WAL offset (superseding the logged history), then
+    /// raise the replication floor — restore is not WAL-logged, so
+    /// replaying the log from below this offset no longer reproduces
+    /// the served state, and resume below it is refused. A no-op
     /// without a WAL. Called with the session lock held.
-    fn persist_restored(
-        &self,
-        arranger: &IncrementalArranger,
-        base: &Instance,
-    ) -> Result<(), ServiceError> {
-        let mut guard = self.dlock();
+    fn persist_restored(&self, session: &Session) -> Result<(), ServiceError> {
+        let mut guard = lock(&self.durability);
         let Some(d) = guard.as_mut() else {
             return Ok(());
         };
         if let Some(why) = &d.poisoned {
             return Err(wal_failed(why));
         }
-        let epoch = arranger.epoch();
-        match Self::cut_snapshot(d, arranger, base) {
-            Ok(()) => {
-                d.last_snapshot_epoch = Some(epoch);
-                self.metrics.record_snapshot(epoch);
-                self.metrics
-                    .record_wal(d.writer.records(), d.writer.offset(), d.writer.fsyncs());
-                Ok(())
-            }
-            Err(e) => {
-                self.metrics.record_snapshot_error();
-                Err(ServiceError::new(
-                    "io",
-                    format!("persisting restored session: {e}"),
-                ))
-            }
-        }
+        d.rotate_snapshot(session)
+            .map_err(|e| ServiceError::new("io", format!("persisting restored session: {e}")))?;
+        self.repl.set_floor(d.writer.offset());
+        let _ = repl::store_meta(&d.dir, &self.repl.meta());
+        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -1569,7 +1502,7 @@ impl Service {
     /// node's startup role. Called once at bind time, after
     /// [`Self::install_recovered`].
     pub fn init_replication(&self, accept_replicas: bool, replica: bool) -> std::io::Result<()> {
-        let guard = self.dlock();
+        let guard = lock(&self.durability);
         match guard.as_ref() {
             Some(d) => {
                 let meta = repl::load_meta(&d.dir)?;
@@ -1597,7 +1530,7 @@ impl Service {
     /// The WAL directory and current head, for a replica stream. Syncs
     /// the writer first so the file holds every byte up to the head.
     pub(crate) fn repl_stream_info(&self) -> Result<(PathBuf, u64, u64), ServiceError> {
-        let mut guard = self.dlock();
+        let mut guard = lock(&self.durability);
         match guard.as_mut() {
             Some(d) => {
                 if let Some(why) = &d.poisoned {
@@ -1619,37 +1552,28 @@ impl Service {
     /// replica catch-up. `None` when there is nothing to snapshot (no
     /// session) or durability cannot vouch for the head.
     pub(crate) fn repl_snapshot_doc(&self) -> Option<SnapshotDoc> {
-        let sguard = self.lock();
-        let session = sguard.as_ref()?;
-        let mut dguard = self.dlock();
+        let live = lock(&self.state);
+        let session = live.session.as_ref()?;
+        let mut dguard = lock(&self.durability);
         let d = dguard.as_mut()?;
         if d.poisoned.is_some() || d.writer.sync_now().is_err() {
             return None;
         }
-        Some(SnapshotDoc {
-            version: 1,
-            wal_offset: d.writer.offset(),
-            wal_records: d.writer.records(),
-            epoch: session.arranger.epoch(),
-            base: session.base.clone(),
-            live: session.arranger.instance().clone(),
-            log: session.arranger.log().to_vec(),
-            arrangement: session.arranger.arrangement().clone(),
-            baseline: session.arranger.baseline_max_sum(),
-        })
+        Some(session.snapshot_doc(d.writer.offset(), d.writer.records()))
     }
 
     /// Replica: adopt a `reset` handshake — wipe the local WAL and
-    /// snapshot, drop the session (the snapshot doc or the record
-    /// stream from `start` rebuilds it), and re-base the cursor.
+    /// snapshot, drop the session and its dedup keys (the snapshot doc
+    /// or the record stream from `start` rebuilds both), and re-base
+    /// the cursor.
     pub(crate) fn replica_begin_resync(
         &self,
         start: u64,
         start_records: u64,
         generation: u64,
     ) -> std::io::Result<()> {
-        let mut sguard = self.lock();
-        let mut dguard = self.dlock();
+        let mut live = lock(&self.state);
+        let mut dguard = lock(&self.durability);
         let Some(d) = dguard.as_mut() else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -1659,13 +1583,11 @@ impl Service {
         d.writer = recovery::reset_wal(&d.dir, d.policy)?.boxed();
         d.last_snapshot_epoch = None;
         d.poisoned = None;
-        self.metrics.record_wal(0, 0, d.writer.fsyncs());
-        *sguard = None;
+        d.mirror();
+        *live = Live::default();
         self.publish_cleared();
         self.repl.begin_resync(generation, start, start_records);
-        repl::store_meta(&d.dir, &self.repl.meta())?;
-        self.dedup_lock().clear();
-        Ok(())
+        repl::store_meta(&d.dir, &self.repl.meta())
     }
 
     /// Replica: install a catch-up snapshot shipped by the primary (in
@@ -1673,40 +1595,20 @@ impl Service {
     /// the just-reset local WAL) so a crash recovers to the same point,
     /// then swaps the session in. Returns the remote cursor to ack.
     pub(crate) fn replica_install_snapshot(&self, doc: SnapshotDoc) -> Result<u64, String> {
-        let config = DynamicConfig {
-            rebuild_drift_ratio: self.drift_ratio,
-        };
-        let arranger =
-            IncrementalArranger::resume(doc.live, doc.log, doc.arrangement, doc.baseline, config)
-                .map_err(|e| format!("infeasible snapshot from primary: {e:?}"))?;
-        let base = doc.base;
-        let mut sguard = self.lock();
-        {
-            let mut dguard = self.dlock();
-            let Some(d) = dguard.as_mut() else {
-                return Err("replica requires a --wal-dir".to_string());
-            };
-            let local = SnapshotDoc {
-                version: 1,
-                wal_offset: d.writer.offset(),
-                wal_records: d.writer.records(),
-                epoch: arranger.epoch(),
-                base: base.clone(),
-                live: arranger.instance().clone(),
-                log: arranger.log().to_vec(),
-                arrangement: arranger.arrangement().clone(),
-                baseline: arranger.baseline_max_sum(),
-            };
-            wal::write_snapshot(&recovery::snapshot_path(&d.dir), &local)
-                .map_err(|e| format!("persisting catch-up snapshot: {e}"))?;
-            d.last_snapshot_epoch = Some(local.epoch);
-            self.metrics.record_snapshot(local.epoch);
+        let (offset, records) = (doc.wal_offset, doc.wal_records);
+        let session = Session::resume(doc, self.config)
+            .map_err(|e| format!("infeasible snapshot from primary: {e:?}"))?;
+        let mut live = lock(&self.state);
+        match lock(&self.durability).as_mut() {
+            Some(d) => d
+                .rotate_snapshot(&session)
+                .map_err(|e| format!("persisting catch-up snapshot: {e}"))?,
+            None => return Err("replica requires a --wal-dir".to_string()),
         }
-        self.repl.set_cursor(doc.wal_offset, doc.wal_records);
-        let session = Session { arranger, base };
-        self.publish_session(&session);
-        *sguard = Some(session);
-        Ok(doc.wal_offset)
+        self.repl.set_cursor(offset, records);
+        let _ = self.publish_session(&session);
+        live.session = Some(session);
+        Ok(offset)
     }
 
     /// Replica: append one shipped record byte-for-byte to the local
@@ -1721,9 +1623,9 @@ impl Service {
     ) -> Result<u64, ReplicaApplyError> {
         let record: WalRecord = serde_json::from_value(record_value.clone())
             .map_err(|e| ReplicaApplyError::Bad(format!("bad shipped record: {e}")))?;
-        let payload = serde_json::to_string(&record)
-            .map_err(|e| ReplicaApplyError::Bad(format!("re-encoding record: {e}")))?;
-        let mut sguard = self.lock();
+        let payload = encode(&record).map_err(ReplicaApplyError::Bad)?;
+        let frame_bytes = wal::HEADER_LEN + payload.len() as u64;
+        let mut live = lock(&self.state);
         let expected = self.repl.remote_cursor();
         if offset < expected {
             return Ok(expected);
@@ -1734,75 +1636,32 @@ impl Service {
                 got: offset,
             });
         }
-        {
-            let mut dguard = self.dlock();
-            let Some(d) = dguard.as_mut() else {
+        match lock(&self.durability).as_mut() {
+            Some(d) => d
+                .append(&record, payload, &self.repl)
+                .map_err(ReplicaApplyError::Wal)?,
+            None => {
                 return Err(ReplicaApplyError::Wal(
                     "replica requires a --wal-dir".into(),
-                ));
-            };
-            if let Some(why) = &d.poisoned {
-                return Err(ReplicaApplyError::Wal(why.clone()));
+                ))
             }
-            if let Err(e) = d.writer.append_payload(payload.as_bytes()) {
-                let detail = e.to_string();
-                d.poisoned = Some(detail.clone());
-                return Err(ReplicaApplyError::Wal(detail));
-            }
-            if matches!(record, WalRecord::Load { .. }) {
-                d.last_snapshot_epoch = None;
-            }
-            self.metrics
-                .record_wal(d.writer.records(), d.writer.offset(), d.writer.fsyncs());
         }
         // Re-arm the dedup so a client retry against this node after a
         // failover replays instead of double-applying.
         if let WalRecord::KeyedMutation { client, seq, .. } = &record {
-            self.dedup_lock()
-                .store(client.clone(), *seq, deduped_marker());
+            live.dedup.store(client.clone(), *seq, deduped_marker());
         }
-        let config = DynamicConfig {
-            rebuild_drift_ratio: self.drift_ratio,
-        };
-        let mut state = sguard.take().map(|s| recovery::RecoveredSession {
-            arranger: s.arranger,
-            base: s.base,
-        });
-        recovery::apply_record(&mut state, &record, config);
-        *sguard = state.map(|r| Session {
-            arranger: r.arranger,
-            base: r.base,
-        });
-        match sguard.as_ref() {
-            Some(session) => self.publish_session(session),
+        recovery::apply_record(&mut live.session, &record, self.config);
+        match &live.session {
+            Some(session) => {
+                let _ = self.publish_session(session);
+                self.maybe_auto_snapshot(session);
+            }
             None => self.publish_cleared(),
         }
-        self.repl
-            .advance_cursor(wal::HEADER_LEN + payload.len() as u64);
+        self.repl.advance_cursor(frame_bytes);
         self.metrics.record_repl_applied();
-        let cursor = self.repl.remote_cursor();
-        // Chain: a replica can itself feed replicas (same coordinates).
-        if self.repl.hub.has_subscribers() {
-            self.repl.hub.publish(Shipment::Record {
-                offset,
-                head: self.repl.last_seen_head().max(cursor),
-                head_records: self
-                    .repl
-                    .last_seen_head_records()
-                    .max(self.repl.remote_records_cursor()),
-                payload: Arc::new(payload),
-            });
-        }
-        if let Some(session) = sguard.as_ref() {
-            self.maybe_auto_snapshot(session);
-        }
-        Ok(cursor)
-    }
-}
-
-impl Session {
-    fn arranger(&self) -> &IncrementalArranger {
-        &self.arranger
+        Ok(self.repl.remote_cursor())
     }
 }
 
@@ -2243,9 +2102,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Regression: a handler that panics while holding the session,
-    /// durability, and dedup locks must not wedge the service — every
-    /// lock is taken through `unwrap_or_else(|e| e.into_inner())`, so
+    /// Regression: a handler that panics while holding the session and
+    /// durability locks must not wedge the service — every
+    /// lock is taken through `crate::lock`, which recovers the poison, so
     /// later requests recover the poison and serve, the observable
     /// state is exactly what was acked before the panic, and the live
     /// arranger still matches a recovery replay of the WAL (no
@@ -2262,12 +2121,11 @@ mod tests {
         .unwrap();
         let before = call(&svc, r#"{"op": "health"}"#).unwrap();
 
-        // Die mid-mutation in the worst posture: all three service
-        // locks held. catch_unwind plays the worker's panic guard.
+        // Die mid-mutation in the worst posture: both service locks
+        // held. catch_unwind plays the worker's panic guard.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _session = svc.state.lock().unwrap();
             let _durability = svc.durability.lock().unwrap();
-            let _dedup = svc.dedup.lock().unwrap();
             panic!("simulated handler death mid-mutation");
         }));
         assert!(panicked.is_err());

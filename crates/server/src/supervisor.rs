@@ -43,6 +43,7 @@
 //! (or an equal-generation primary that outranks it — the symmetric
 //! dual-promote tiebreak) demotes itself to replica and follows it.
 
+use crate::lock;
 use crate::protocol::{get, get_str, get_u64};
 use crate::service::Service;
 use serde_json::Value;
@@ -251,10 +252,6 @@ impl SupervisorState {
         self.set_primary_hint(advertise);
         self.had_replica_contact.store(false, Ordering::SeqCst);
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// What a peer's `health` op reported (the probe's view of a node).

@@ -6,188 +6,14 @@
 //! a property check that client-side retry storms never double-apply a
 //! keyed mutation.
 
+mod common;
+
+use common::*;
 use geacc_server::chaos::{ChaosPlan, ChaosProxy, LinePolicy};
 use geacc_server::client::{ClientConfig, RetryClient};
-use geacc_server::{protocol, recovery, wal, MetricsSnapshot, Server, ServerConfig};
+use geacc_server::{protocol, recovery, wal, ServerConfig};
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// A blocking line-protocol client (same shape as tests/server.rs).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
-    }
-
-    fn recv(&mut self) -> Value {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        serde_json::from_str(line.trim()).expect("response is JSON")
-    }
-
-    fn call(&mut self, line: &str) -> Value {
-        self.send(line);
-        self.recv()
-    }
-}
-
-fn ok_data(response: &Value) -> &Value {
-    assert_eq!(
-        protocol::get(response, "ok"),
-        Some(&Value::Bool(true)),
-        "expected success, got {response:?}"
-    );
-    protocol::get(response, "data").expect("ok response has data")
-}
-
-fn err_body(response: &Value) -> &Value {
-    assert_eq!(
-        protocol::get(response, "ok"),
-        Some(&Value::Bool(false)),
-        "expected error, got {response:?}"
-    );
-    protocol::get(response, "error").expect("error body")
-}
-
-struct ServerHandle {
-    addr: String,
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    thread: std::thread::JoinHandle<MetricsSnapshot>,
-}
-
-impl ServerHandle {
-    fn spawn(config: ServerConfig) -> ServerHandle {
-        let server = Server::bind(config).expect("bind");
-        let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle();
-        let thread = std::thread::spawn(move || server.run().expect("server run"));
-        ServerHandle { addr, stop, thread }
-    }
-
-    fn shutdown(self) -> MetricsSnapshot {
-        // Structured shutdown if the socket still answers, stop flag
-        // either way (a fenced replica loop only watches the flag).
-        if let Ok(stream) = TcpStream::connect(&self.addr) {
-            stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let _ = writer.write_all(b"{\"op\": \"shutdown\"}\n");
-            let mut line = String::new();
-            let _ = BufReader::new(stream).read_line(&mut line);
-        }
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        self.thread.join().expect("server thread")
-    }
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("geacc-repl-tests").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn durable_config(dir: &Path) -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_depth: 16,
-        default_timeout_ms: 10_000,
-        wal_dir: Some(dir.to_path_buf()),
-        fsync: geacc_server::FsyncPolicy::Always,
-        ..ServerConfig::default()
-    }
-}
-
-fn load_line() -> String {
-    let inst = geacc_core::toy::table1_instance();
-    format!(
-        r#"{{"op": "load", "instance": {}}}"#,
-        serde_json::to_string(&inst).unwrap()
-    )
-}
-
-/// Branch-and-bound's worst case (narrow similarity band, dense
-/// conflicts, deep trees): a budgeted Prune-GEACC solve reliably
-/// occupies a worker for its whole timeout (same shape tests/server.rs
-/// uses for its overload test).
-fn pathological_load_line() -> String {
-    use geacc_core::{ConflictGraph, EventId, Instance, SimMatrix};
-    let (nv, nu) = (8usize, 24usize);
-    let values: Vec<f64> = (0..nv * nu)
-        .map(|i| 0.55 + 0.01 * ((i * 37 % 97) as f64 / 97.0))
-        .collect();
-    let conflicts = ConflictGraph::from_pairs(
-        nv,
-        (0..nv as u32).flat_map(|i| {
-            (i + 1..nv as u32)
-                .filter(move |j| (i * 7 + j * 13) % 3 != 0)
-                .map(move |j| (EventId(i), EventId(j)))
-        }),
-    );
-    let inst = Instance::from_matrix(
-        SimMatrix::from_flat(nv, nu, values),
-        vec![6; nv],
-        vec![8; nu],
-        conflicts,
-    )
-    .unwrap();
-    format!(
-        r#"{{"op": "load", "instance": {}}}"#,
-        serde_json::to_string(&inst).unwrap()
-    )
-}
-
-/// The mutation stream every test replays: valid on the toy instance.
-fn mutation_bodies() -> Vec<&'static str> {
-    vec![
-        r#"{"AddConflict": {"a": 0, "b": 1}}"#,
-        r#"{"SetCapacity": {"side": "User", "id": 0, "capacity": 1}}"#,
-        r#"{"SetCapacity": {"side": "Event", "id": 1, "capacity": 4}}"#,
-    ]
-}
-
-/// Poll `probe` until it returns Some or the deadline passes.
-fn wait_for<T>(what: &str, timeout: Duration, mut probe: impl FnMut() -> Option<T>) -> T {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(value) = probe() {
-            return value;
-        }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn health(client: &mut Client) -> Value {
-    ok_data(&client.call(r#"{"op": "health"}"#)).clone()
-}
-
-fn fingerprint(health: &Value) -> u64 {
-    protocol::get_u64(health, "fingerprint").expect("health has fingerprint")
-}
 
 /// Replica streams the primary's records live, matches its state
 /// exactly, and refuses writes with a structured `read_only` error.
@@ -496,7 +322,19 @@ fn retry_client_rides_out_overload_with_the_server_hint() {
     // rejected immediately. (Reads like `stats` can't exercise this any
     // more — the event loop answers them inline, never queueing them.)
     client.send(r#"{"op": "solve", "id": 1, "algorithm": "prune", "timeout_ms": 700}"#);
-    std::thread::sleep(Duration::from_millis(100));
+    // The filler may only go in once the worker has dequeued the solve
+    // (its batch is counted then); before that the solve itself holds
+    // the queue slot.
+    let mut watcher = Client::connect(&handle.addr);
+    wait_for(
+        "the solve to occupy the worker",
+        Duration::from_secs(10),
+        || {
+            let stats = watcher.call(r#"{"op": "stats"}"#);
+            let server = protocol::get(ok_data(&stats), "server")?.clone();
+            (protocol::get_u64(&server, "solve_batches") >= Some(1)).then_some(())
+        },
+    );
     let mut filler = Client::connect(&handle.addr);
     filler.send(
         r#"{"op": "mutate", "id": 2, "mutation": {"SetCapacity": {"side": "User", "id": 1, "capacity": 2}}}"#,
@@ -600,20 +438,8 @@ fn duplicated_record_lines_apply_once() {
 /// retry-free run — the dedup table absorbs the repeats.
 mod dedup_storm {
     use super::*;
-    use geacc_core::parallel::Threads;
-    use geacc_server::{ServerMetrics, Service};
+    use geacc_server::Service;
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    fn service() -> Service {
-        Service::new(
-            Arc::new(ServerMetrics::default()),
-            Arc::new(AtomicBool::new(false)),
-            Threads::single(),
-            0.2,
-        )
-    }
 
     fn call(svc: &Service, line: &str) -> Value {
         let req = protocol::parse_request(line).unwrap();

@@ -1,83 +1,12 @@
 //! End-to-end tests over a real TCP socket: a full client session, the
 //! shutdown drain, and admission control under overload.
 
-use geacc_server::{protocol, MetricsSnapshot, Server, ServerConfig};
+mod common;
+
+use common::*;
+use geacc_server::{protocol, ServerConfig};
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
-
-/// A blocking line-protocol client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        let mut framed = Vec::with_capacity(line.len() + 1);
-        framed.extend_from_slice(line.as_bytes());
-        framed.push(b'\n');
-        self.writer.write_all(&framed).unwrap();
-        self.writer.flush().unwrap();
-    }
-
-    fn recv(&mut self) -> Value {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        serde_json::from_str(line.trim()).expect("response is JSON")
-    }
-
-    fn call(&mut self, line: &str) -> Value {
-        self.send(line);
-        self.recv()
-    }
-}
-
-fn ok_data(response: &Value) -> &Value {
-    assert_eq!(
-        protocol::get(response, "ok"),
-        Some(&Value::Bool(true)),
-        "expected success, got {response:?}"
-    );
-    protocol::get(response, "data").expect("ok response has data")
-}
-
-fn err_code(response: &Value) -> &str {
-    assert_eq!(protocol::get(response, "ok"), Some(&Value::Bool(false)));
-    protocol::get_str(
-        protocol::get(response, "error").expect("error body"),
-        "code",
-    )
-    .unwrap()
-}
-
-fn spawn_server(config: ServerConfig) -> (std::net::SocketAddr, ServerHandle) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.run().expect("server run"));
-    (addr, ServerHandle(handle))
-}
-
-struct ServerHandle(std::thread::JoinHandle<MetricsSnapshot>);
-
-impl ServerHandle {
-    fn join(self) -> MetricsSnapshot {
-        self.0.join().expect("server thread")
-    }
-}
 
 fn test_config() -> ServerConfig {
     ServerConfig {
@@ -89,49 +18,11 @@ fn test_config() -> ServerConfig {
     }
 }
 
-fn load_line() -> String {
-    let inst = geacc_core::toy::table1_instance();
-    format!(
-        r#"{{"op": "load", "id": 1, "instance": {}}}"#,
-        serde_json::to_string(&inst).unwrap()
-    )
-}
-
-/// Branch-and-bound's worst case (narrow similarity band, dense
-/// conflicts, deep trees): unbudgeted Prune-GEACC effectively never
-/// finishes, so a budgeted solve reliably occupies a worker for its
-/// whole timeout.
-fn pathological_load_line() -> String {
-    use geacc_core::{ConflictGraph, EventId, Instance, SimMatrix};
-    let (nv, nu) = (8usize, 24usize);
-    let values: Vec<f64> = (0..nv * nu)
-        .map(|i| 0.55 + 0.01 * ((i * 37 % 97) as f64 / 97.0))
-        .collect();
-    let conflicts = ConflictGraph::from_pairs(
-        nv,
-        (0..nv as u32).flat_map(|i| {
-            (i + 1..nv as u32)
-                .filter(move |j| (i * 7 + j * 13) % 3 != 0)
-                .map(move |j| (EventId(i), EventId(j)))
-        }),
-    );
-    let inst = Instance::from_matrix(
-        SimMatrix::from_flat(nv, nu, values),
-        vec![6; nv],
-        vec![8; nu],
-        conflicts,
-    )
-    .unwrap();
-    format!(
-        r#"{{"op": "load", "instance": {}}}"#,
-        serde_json::to_string(&inst).unwrap()
-    )
-}
-
 #[test]
 fn full_session_over_tcp() {
-    let (addr, handle) = spawn_server(test_config());
-    let mut client = Client::connect(addr);
+    let handle = ServerHandle::spawn(test_config());
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
 
     let loaded = client.call(&load_line());
     assert_eq!(protocol::get_u64(&loaded, "id"), Some(1));
@@ -142,7 +33,7 @@ fn full_session_over_tcp() {
     assert_eq!(protocol::get_u64(ok_data(&mutated), "epoch"), Some(1));
 
     // A second connection sees the same live state.
-    let mut other = Client::connect(addr);
+    let mut other = Client::connect(&addr);
     let stats = other.call(r#"{"op": "stats", "id": 3}"#);
     let arranger = protocol::get(ok_data(&stats), "arranger").unwrap();
     assert_eq!(protocol::get_u64(arranger, "epoch"), Some(1));
@@ -170,8 +61,9 @@ fn full_session_over_tcp() {
 
 #[test]
 fn hostile_inline_load_is_a_bad_request() {
-    let (addr, handle) = spawn_server(test_config());
-    let mut client = Client::connect(addr);
+    let handle = ServerHandle::spawn(test_config());
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
 
     // Attribute rows of length 1 under a declared 2^40 dimension: the
     // loader must reject the document before sizing a buffer from `dim`
@@ -191,8 +83,9 @@ fn hostile_inline_load_is_a_bad_request() {
 
 #[test]
 fn pipelined_requests_echo_ids() {
-    let (addr, handle) = spawn_server(test_config());
-    let mut client = Client::connect(addr);
+    let handle = ServerHandle::spawn(test_config());
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
     ok_data(&client.call(&load_line()));
 
     // Fire a burst without reading, then collect. Responses may be
@@ -223,14 +116,15 @@ fn pipelined_requests_echo_ids() {
 fn overload_rejects_with_structured_errors() {
     // One worker stuck on a slow solve + a queue of depth 1 ⇒ further
     // requests must be rejected as `overloaded`, never queued unbounded.
-    let (addr, handle) = spawn_server(ServerConfig {
+    let handle = ServerHandle::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_depth: 1,
         default_timeout_ms: 10_000,
         ..ServerConfig::default()
     });
-    let mut client = Client::connect(addr);
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
     ok_data(&client.call(&pathological_load_line()));
 
     // Occupy the single worker: a hard exact solve that runs its full
@@ -243,7 +137,7 @@ fn overload_rejects_with_structured_errors() {
     // bounce with a structured error the moment they arrive. (The burst
     // must be queue-class ops — the event loop answers reads like
     // `stats` inline no matter how wedged the workers are.)
-    let mut flood = Client::connect(addr);
+    let mut flood = Client::connect(&addr);
     let n = 20;
     for i in 0..n {
         flood.send(&format!(
@@ -282,8 +176,9 @@ fn snapshot_and_restore_across_server_instances() {
     let path = dir.join("session.json");
     let path_str = path.to_str().unwrap();
 
-    let (addr, handle) = spawn_server(test_config());
-    let mut client = Client::connect(addr);
+    let handle = ServerHandle::spawn(test_config());
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
     ok_data(&client.call(&load_line()));
     ok_data(&client.call(
         r#"{"op": "mutate", "mutation": {"AddUser": {"attrs": [0.7, 0.4, 0.9], "capacity": 2}}}"#,
@@ -295,8 +190,9 @@ fn snapshot_and_restore_across_server_instances() {
     client.call(r#"{"op": "shutdown"}"#);
     handle.join();
 
-    let (addr, handle) = spawn_server(test_config());
-    let mut client = Client::connect(addr);
+    let handle = ServerHandle::spawn(test_config());
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
     let restored = client.call(&format!(r#"{{"op": "restore", "path": "{path_str}"}}"#));
     assert_eq!(protocol::get_u64(ok_data(&restored), "epoch"), Some(2));
     let after = client.call(r#"{"op": "query_event", "event": 0}"#);

@@ -6,129 +6,18 @@
 //! straddles the promotion (exactly-once via the shipped dedup table),
 //! and the `primary_hint` self-correction of a misconfigured client.
 
+mod common;
+
+use common::*;
 use geacc_server::chaos::{ChaosPlan, ChaosProxy, LinePolicy};
 use geacc_server::client::{ClientConfig, RetryClient};
-use geacc_server::{protocol, recovery, wal, MetricsSnapshot, Server, ServerConfig};
+use geacc_server::{protocol, recovery, wal, ServerConfig};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// A blocking line-protocol client (same shape as tests/replication.rs).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
-    }
-
-    fn recv(&mut self) -> Value {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        serde_json::from_str(line.trim()).expect("response is JSON")
-    }
-
-    fn call(&mut self, line: &str) -> Value {
-        self.send(line);
-        self.recv()
-    }
-}
-
-fn ok_data(response: &Value) -> &Value {
-    assert_eq!(
-        protocol::get(response, "ok"),
-        Some(&Value::Bool(true)),
-        "expected success, got {response:?}"
-    );
-    protocol::get(response, "data").expect("ok response has data")
-}
-
-fn err_body(response: &Value) -> &Value {
-    assert_eq!(
-        protocol::get(response, "ok"),
-        Some(&Value::Bool(false)),
-        "expected error, got {response:?}"
-    );
-    protocol::get(response, "error").expect("error body")
-}
-
-struct ServerHandle {
-    addr: String,
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<MetricsSnapshot>,
-}
-
-impl ServerHandle {
-    fn spawn(config: ServerConfig) -> ServerHandle {
-        let server = Server::bind(config).expect("bind");
-        let addr = server.local_addr().unwrap().to_string();
-        let stop = server.stop_handle();
-        let thread = std::thread::spawn(move || server.run().expect("server run"));
-        ServerHandle { addr, stop, thread }
-    }
-
-    /// Unannounced death: raise the stop flag without a structured
-    /// shutdown — every socket goes dark, nothing is handed over. The
-    /// closest an in-process harness gets to `kill -9` (the real
-    /// kill -9 run lives in scripts/ci.sh).
-    fn crash(self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.thread.join();
-    }
-
-    fn shutdown(self) -> MetricsSnapshot {
-        if let Ok(stream) = TcpStream::connect(&self.addr) {
-            stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let _ = writer.write_all(b"{\"op\": \"shutdown\"}\n");
-            let mut line = String::new();
-            let _ = BufReader::new(stream).read_line(&mut line);
-        }
-        self.stop.store(true, Ordering::SeqCst);
-        self.thread.join().expect("server thread")
-    }
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("geacc-sup-tests").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn durable_config(dir: &Path) -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_depth: 16,
-        default_timeout_ms: 10_000,
-        wal_dir: Some(dir.to_path_buf()),
-        fsync: geacc_server::FsyncPolicy::Always,
-        ..ServerConfig::default()
-    }
-}
+use std::time::Duration;
 
 /// Reserve a concrete local address before the server exists, so nodes
 /// with circular peer lists (r1 probes r2, r2 probes r1) can be
@@ -138,35 +27,6 @@ fn free_addr() -> String {
     let addr = listener.local_addr().unwrap().to_string();
     drop(listener);
     addr
-}
-
-fn load_line() -> String {
-    let inst = geacc_core::toy::table1_instance();
-    format!(
-        r#"{{"op": "load", "instance": {}}}"#,
-        serde_json::to_string(&inst).unwrap()
-    )
-}
-
-/// The mutation stream every test replays: valid on the toy instance.
-fn mutation_bodies() -> Vec<&'static str> {
-    vec![
-        r#"{"AddConflict": {"a": 0, "b": 1}}"#,
-        r#"{"SetCapacity": {"side": "User", "id": 0, "capacity": 1}}"#,
-        r#"{"SetCapacity": {"side": "Event", "id": 1, "capacity": 4}}"#,
-    ]
-}
-
-/// Poll `probe` until it returns Some or the deadline passes.
-fn wait_for<T>(what: &str, timeout: Duration, mut probe: impl FnMut() -> Option<T>) -> T {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(value) = probe() {
-            return value;
-        }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// health() over a *fresh* connection each time: across a failover the
@@ -184,14 +44,6 @@ fn health_at(addr: &str) -> Option<Value> {
     BufReader::new(stream).read_line(&mut line).ok()?;
     let response: Value = serde_json::from_str(line.trim()).ok()?;
     protocol::get(&response, "data").cloned()
-}
-
-fn health(client: &mut Client) -> Value {
-    ok_data(&client.call(r#"{"op": "health"}"#)).clone()
-}
-
-fn fingerprint(health: &Value) -> u64 {
-    protocol::get_u64(health, "fingerprint").expect("health has fingerprint")
 }
 
 fn supervised(config: ServerConfig, node_id: u64, peers: Vec<String>) -> ServerConfig {

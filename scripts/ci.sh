@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, release build (plus a locked build
-# of the separate perfbench workspace), lints, the workspace
+# of the separate perfbench workspace and a one-second answer-checked
+# run of its mixed_rw and solve_mix workloads), lints, the workspace
 # test suite at two worker-pool sizes — GEACC_THREADS=1 exercises every
 # sequential code path, GEACC_THREADS=4 the scoped-thread parallel
 # paths (including the resilience suite's worker-panic and
@@ -27,6 +28,17 @@ echo "== perfbench build (locked) =="
 # change that breaks the benchmark, or a dependency change that leaves
 # perfbench/Cargo.lock stale, before the benchmark is run.
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench answer-check smoke =="
+# One-second traced runs of the two served workloads that write. Each
+# checks every reply digest and the final fingerprint against an
+# in-process replay of its op stream, and the layer replay against
+# both; a wrong answer exits 2 and a run that cannot finish exits 1.
+for workload in mixed_rw solve_mix; do
+    SUMMARY=$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "perfbench $workload: ${SUMMARY%%,\"metrics\"*}}"
+done
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
