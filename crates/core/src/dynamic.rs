@@ -35,7 +35,7 @@
 //! one non-logged action — persistence layers snapshot the arrangement
 //! alongside the log and reinstall it via [`IncrementalArranger::install`].
 
-use crate::algorithms::NeighborOracle;
+use crate::algorithms::{greedy_on, GreedyConfig, NeighborOracle};
 use crate::engine::{CandidateGraph, GraphFlats};
 use crate::model::arrangement::{Arrangement, Violation};
 use crate::model::ids::{EventId, UserId};
@@ -221,7 +221,8 @@ pub struct IncrementalArranger {
     baseline: f64,
     config: DynamicConfig,
     /// The candidate-graph flats of the newest epoch they were asked
-    /// for ([`Self::epoch_flats`]), refreshed incrementally: mutations
+    /// for ([`Self::epoch_flats`]), or of epoch 0 as the initial Greedy
+    /// built them, refreshed incrementally: mutations
     /// only ever *grow* the similarity space (`AddUser` / `AddEvent`
     /// append ids; capacity and conflict edits live outside the sim
     /// model), so a stale cache is extended via [`GraphFlats::extended`]
@@ -232,9 +233,15 @@ pub struct IncrementalArranger {
 impl IncrementalArranger {
     /// Start a dynamic session. The initial arrangement is the
     /// deterministic Greedy-GEACC solve of `inst` (bit-identical at
-    /// every thread count), which also seeds the drift baseline.
+    /// every thread count), which also seeds the drift baseline. The
+    /// candidate graph that solve runs over is kept as the epoch-0 flats,
+    /// so the first [`Self::epoch_flats`] reuses or extends it instead of
+    /// building it again.
     pub fn new(inst: Instance, config: DynamicConfig) -> Self {
-        let arrangement = crate::algorithms::greedy(&inst);
+        let (arrangement, flats) = {
+            let graph = CandidateGraph::build(&inst, GreedyConfig::default().threads);
+            (greedy_on(&graph, None).0, Arc::clone(graph.flats()))
+        };
         let baseline = arrangement.max_sum();
         IncrementalArranger {
             inst,
@@ -243,7 +250,7 @@ impl IncrementalArranger {
             epoch: 0,
             baseline,
             config,
-            flats: None,
+            flats: Some(flats),
         }
     }
 
@@ -367,15 +374,16 @@ impl IncrementalArranger {
         h
     }
 
-    /// The candidate-graph flats of the current epoch, built on first
-    /// use and **incrementally extended** thereafter: dimension-changing
-    /// mutations (`AddUser` / `AddEvent`) trigger a
-    /// [`GraphFlats::extended`] refresh costing similarity evaluations
-    /// proportional to the drift (new rows × all users + old rows × new
-    /// users), while every other mutation reuses the cached `Arc`
-    /// outright — capacities and conflicts are not part of the sim
-    /// model. Bit-identical to `GraphFlats::build` of the live instance
-    /// at every thread count.
+    /// The candidate-graph flats of the current epoch, **incrementally
+    /// extended** from the cached ones. [`Self::new`] seeds the cache
+    /// with its Greedy's graph, so a from-scratch build only happens on
+    /// first use after [`Self::resume`]. Dimension-changing mutations
+    /// (`AddUser` / `AddEvent`) trigger a [`GraphFlats::extended`]
+    /// refresh costing similarity evaluations proportional to the drift
+    /// (new rows × all users + old rows × new users), while every other
+    /// mutation reuses the cached `Arc` outright — capacities and
+    /// conflicts are not part of the sim model. Bit-identical to
+    /// `GraphFlats::build` of the live instance at every thread count.
     pub fn epoch_flats(&mut self, threads: Threads) -> Arc<GraphFlats> {
         let fresh = match &self.flats {
             Some(f) if f.covers(&self.inst) => Arc::clone(f),

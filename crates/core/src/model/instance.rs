@@ -924,6 +924,29 @@ mod tests {
     }
 
     #[test]
+    fn packed_parse_matches_the_unpacked_path_bit_for_bit() {
+        // `from_str` reads each float array as one packed run;
+        // `from_value` of a `Value` tree reads it one number at a time.
+        // Both must build the same instance, down to the bits (finite
+        // floats print shortest-roundtrip, so equal text is equal bits).
+        let mut b = Instance::builder(3, SimilarityModel::Euclidean { t: 10.0 });
+        b.event(&[-0.0, 1e-300, 4.0], 2);
+        b.event(&[f64::MIN_POSITIVE, 0.1, 1.0 / 3.0], 1);
+        b.user(&[7.0, 2.5, 9.999999999999998], 1);
+        b.user(&[0.0, 1.2345678, -0.0], 3);
+        b.conflicts(ConflictGraph::from_pairs(2, [(EventId(0), EventId(1))]));
+        for inst in [b.build().unwrap(), crate::toy::table1_instance()] {
+            let text = serde_json::to_string(&inst).unwrap();
+            let packed: Instance = serde_json::from_str(&text).unwrap();
+            let unpacked: Instance =
+                serde_json::from_value(serde_json::to_value(&inst).unwrap()).unwrap();
+            assert_eq!(packed, unpacked);
+            assert_eq!(serde_json::to_string(&packed).unwrap(), text);
+            assert_eq!(serde_json::to_string(&unpacked).unwrap(), text);
+        }
+    }
+
+    #[test]
     fn serde_rejects_ragged_attributes() {
         let json = r#"{
             "dim": 2,

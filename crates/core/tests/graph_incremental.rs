@@ -16,6 +16,7 @@ use geacc_core::{
     SimMatrix, UserId,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random matrix-specified base instance (same shape discipline as
 /// the dynamic suite: two-decimal sims avoid float-tie flakiness).
@@ -149,10 +150,6 @@ proptest! {
         let base = spec.build();
         let mut single = IncrementalArranger::new(base.clone(), DynamicConfig::default());
         let mut pooled = IncrementalArranger::new(base, DynamicConfig::default());
-        // Seed both caches so the stream exercises `extended`, not
-        // first-use `build`.
-        let _ = single.epoch_flats(Threads::new(1));
-        let _ = pooled.epoch_flats(Threads::new(4));
 
         for (i, &op) in ops.iter().enumerate() {
             let mutation = materialize(op, single.instance());
@@ -171,6 +168,43 @@ proptest! {
         }
     }
 
+    /// `new` seeds the cache with its Greedy's graph: the first
+    /// `epoch_flats` hands out that `Arc` (a clone taken before any pin
+    /// shares it) bit-identical to a scratch build, and a second call
+    /// hands out the same `Arc` again.
+    #[test]
+    fn construction_seeds_the_epoch_cache(spec in base_spec(4, 8)) {
+        let mut arranger = IncrementalArranger::new(spec.build(), DynamicConfig::default());
+        let mut twin = arranger.clone();
+        for threads in [1, 4] {
+            let first = arranger.epoch_flats(Threads::new(threads));
+            let scratch = GraphFlats::build(arranger.instance(), Threads::new(threads));
+            prop_assert!(first.bit_eq(&scratch), "seeded flats != scratch at {} threads", threads);
+            prop_assert!(Arc::ptr_eq(&first, &arranger.epoch_flats(Threads::new(threads))));
+            prop_assert!(Arc::ptr_eq(&first, &twin.epoch_flats(Threads::new(threads))));
+        }
+    }
+
+    /// `new`, then `AddUser`, then the first `epoch_flats`: the seeded
+    /// cache no longer covers the instance, so the pin extends it — and
+    /// the result still matches a scratch build bit for bit.
+    #[test]
+    fn first_pin_after_growth_extends_the_seeded_cache(
+        spec in base_spec(4, 8),
+        seed in 0u64..u64::MAX,
+        capacity in 0u32..4,
+    ) {
+        let mut arranger = IncrementalArranger::new(spec.build(), DynamicConfig::default());
+        let mut twin = arranger.clone();
+        let attrs = sims(seed, arranger.instance().num_events());
+        arranger.apply(Mutation::AddUser { attrs, capacity }).expect("a valid column");
+        let seeded = twin.epoch_flats(Threads::new(1));
+        prop_assert!(!seeded.covers(arranger.instance()));
+        let grown = arranger.epoch_flats(Threads::new(1));
+        prop_assert!(!Arc::ptr_eq(&grown, &seeded));
+        prop_assert!(grown.bit_eq(&GraphFlats::build(arranger.instance(), Threads::new(1))));
+    }
+
     /// The cache is an `Arc` reuse for every non-growing mutation: the
     /// pointer only changes when dimensions change.
     #[test]
@@ -186,9 +220,9 @@ proptest! {
             arranger.apply(mutation).expect("materialized ops are valid");
             let fresh = arranger.epoch_flats(Threads::new(1));
             if grows {
-                prop_assert!(!std::sync::Arc::ptr_eq(&fresh, &last));
+                prop_assert!(!Arc::ptr_eq(&fresh, &last));
             } else {
-                prop_assert!(std::sync::Arc::ptr_eq(&fresh, &last));
+                prop_assert!(Arc::ptr_eq(&fresh, &last));
             }
             last = fresh;
         }

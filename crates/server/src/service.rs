@@ -19,12 +19,13 @@
 //!   lock, then re-take it only to adopt the best result and append
 //!   one WAL `Install` record for the whole batch.
 //!
-//! The epoch CSR comes from [`IncrementalArranger::epoch_flats`]:
-//! growth mutations (`AddUser`/`AddEvent`) extend the previous epoch's
-//! arrays through [`GraphFlats::extended`], which evaluates only the
-//! new pairs, and every other mutation reuses them outright
-//! (bit-identity against a from-scratch build is property-tested in
-//! `crates/core/tests/graph_incremental.rs`).
+//! The epoch CSR comes from [`IncrementalArranger::epoch_flats`],
+//! seeded with the CSR the session's initial Greedy ran over, so a
+//! `load` builds it once. Growth mutations (`AddUser`/`AddEvent`)
+//! extend the previous epoch's arrays through [`GraphFlats::extended`],
+//! which evaluates only the new pairs, and every other mutation reuses
+//! them outright (bit-identity against a from-scratch build is
+//! property-tested in `crates/core/tests/graph_incremental.rs`).
 //!
 //! ## Durability
 //!
@@ -825,9 +826,13 @@ impl Service {
             }
         };
         let mut live = lock(&self.state);
-        self.log_record(&WalRecord::Load {
-            instance: instance.clone(),
-        })?;
+        // The instance moves into the record for the append and back
+        // out for the session: load never copies it for the WAL.
+        let record = WalRecord::Load { instance };
+        self.log_record(&record)?;
+        let WalRecord::Load { instance } = record else {
+            unreachable!("built as a Load record above")
+        };
         let session = Session::new(instance, self.config);
         let summary = self.publish_session(&session);
         live.session = Some(session);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, release build (plus a locked build
 # of the separate perfbench workspace and a one-second answer-checked
-# run of its mixed_rw and solve_mix workloads), lints, the workspace
+# run of each of its workloads), lints, the workspace
 # test suite at two worker-pool sizes — GEACC_THREADS=1 exercises every
 # sequential code path, GEACC_THREADS=4 the scoped-thread parallel
 # paths (including the resilience suite's worker-panic and
@@ -30,13 +30,17 @@ echo "== perfbench build (locked) =="
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== perfbench answer-check smoke =="
-# One-second traced runs of the two served workloads that write. Each
-# checks every reply digest and the final fingerprint against an
-# in-process replay of its op stream, and the layer replay against
-# both; a wrong answer exits 2 and a run that cannot finish exits 1.
-for workload in mixed_rw solve_mix; do
+# One-second runs of every workload, each as workload:trace. The two
+# served workloads that write run traced: each checks every reply digest
+# and the final fingerprint against an in-process replay of its op
+# stream, and the layer replay against both. read_zipf (the only one
+# that loads a 100k-user file) and offline_paper (the only one off the
+# session path) run untraced. A wrong answer exits 2 and a run that
+# cannot finish exits 1; either fails CI here.
+for run in mixed_rw:1 solve_mix:1 read_zipf:0 offline_paper:0; do
+    workload=${run%:*}
     SUMMARY=$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+        --workload "$workload" --seed 1 --seconds 1 --trace "${run#*:}" | tail -n 1)
     echo "perfbench $workload: ${SUMMARY%%,\"metrics\"*}}"
 done
 
