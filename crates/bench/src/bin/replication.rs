@@ -37,6 +37,12 @@ use std::time::{Duration, Instant};
 
 #[derive(Serialize)]
 struct Snapshot {
+    /// The measured commit, stamped the way perfbench stamps its runs:
+    /// `GEACC_BENCH_COMMIT` when set (a checkout without git metadata),
+    /// else `git rev-parse HEAD`.
+    commit: String,
+    /// UTC time the snapshot was taken.
+    date: String,
     host_parallelism: usize,
     command: String,
     note: String,
@@ -492,6 +498,27 @@ fn unattended_failover_phase(rounds: usize, records_per_round: usize) -> Unatten
     }
 }
 
+/// Trimmed stdout of `program args`, or "unknown" if it cannot run.
+fn capture(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+fn commit() -> String {
+    match std::env::var("GEACC_BENCH_COMMIT") {
+        Ok(commit) if !commit.is_empty() => commit,
+        _ if Path::new(".git").exists() => capture("git", &["rev-parse", "HEAD"]),
+        _ => "unknown".into(),
+    }
+}
+
 fn main() {
     let quick = cli::has_flag("quick");
     let out = cli::flag_value("out").unwrap_or_else(|| "BENCH_replication.json".to_string());
@@ -523,6 +550,8 @@ fn main() {
     );
 
     let snapshot = Snapshot {
+        commit: commit(),
+        date: capture("date", &["-u", "+%Y-%m-%dT%H:%M:%SZ"]),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         command: if quick {
             "cargo run -p geacc-bench --release --bin replication -- --quick".to_string()

@@ -3,18 +3,16 @@
 //! The experiment harness regenerating every table and figure of the
 //! GEACC paper's evaluation (Section V). Binaries:
 //!
-//! | Binary | Paper artifact |
+//! | Binary | What it regenerates |
 //! |---|---|
 //! | `fig3` | Fig. 3 — cardinality (`\|V\|`, `\|U\|`), dimensionality, conflict-set sweeps |
 //! | `fig4` | Fig. 4 — capacity sweeps, distribution variants, real (Meetup-sim) data |
 //! | `fig5` | Fig. 5 — Greedy scalability, approximate-vs-exact effectiveness |
 //! | `fig6` | Fig. 6 — pruning effectiveness of Prune-GEACC |
-//! | `scaling` | thread-scaling snapshot (`BENCH_parallel.json`) |
-//! | `resilience` | budget-meter overhead + deadline demo (`BENCH_resilience.json`) |
+//! | `replication` | replica lag, failover and unattended-failover MTTR (`BENCH_replication.json`) |
 //!
-//! Each binary prints aligned text tables (one per panel: MaxSum, running
-//! time, memory) and writes CSV into `results/`. Criterion micro-benches
-//! for the algorithm kernels and ablations live in `benches/`.
+//! Each figure binary prints aligned text tables (one per panel: MaxSum,
+//! running time, memory) and writes CSV into `results/`.
 //!
 //! Measurement notes: times are wall-clock medians over `repeats` runs;
 //! memory is the peak live-bytes of the algorithm's *working set*

@@ -14,7 +14,7 @@
 //!
 //! Every accepted move strictly increases `MaxSum`, so termination is
 //! guaranteed; feasibility is preserved move-by-move (and re-audited in
-//! tests). The `local_search` ablation bench measures the gain over raw
+//! tests). `examples/local_search.rs` reports the gain over raw
 //! Greedy-GEACC; on conflict-heavy instances the upgrades recover part of
 //! what greedy's irrevocable early picks lost.
 

@@ -12,8 +12,9 @@
 //!    so the sweep reduces to watching `Δ − cost` during a *single*
 //!    incremental Successive-Shortest-Path run (each augmentation extends
 //!    `F^Δ` to `F^{Δ+amount}`; SSP invariance makes every prefix optimal,
-//!    the paper's Lemma 1). An ablation bench re-solves from scratch per
-//!    `Δ` to confirm the algebraic identity empirically.
+//!    the paper's Lemma 1). `flow_properties`'
+//!    `ssp_matches_brute_force_at_every_flow_amount` checks every prefix
+//!    against brute force.
 //! 2. **Conflict repair.** For each user, keep a maximum-weight-ish
 //!    independent set of their assigned events, greedily by similarity
 //!    (the exact MWIS is itself NP-hard, as the paper notes).
@@ -40,8 +41,7 @@ pub struct McfConfig {
     /// appears. Successive shortest paths have non-decreasing unit cost,
     /// so later Δ can only lower `Δ − cost`; the result is unchanged and
     /// the sweep often much shorter. Off by default to follow the
-    /// paper's full `Δ_min..Δ_max` loop (the `mcf_sweep` ablation bench
-    /// measures the gap).
+    /// paper's full `Δ_min..Δ_max` loop.
     pub early_stop: bool,
     /// Solve each user's conflict repair *exactly* instead of greedily.
     /// The repair step is a per-user maximum-weight independent set; the

@@ -14,8 +14,9 @@
 //! 0 the final result equals running the per-user greedy offline in
 //! arrival order. There is no constant competitive ratio in general —
 //! an adversary can always burn capacity with early mediocre arrivals —
-//! but the `online` bench shows thresholds recovering much of the
-//! offline gap on capacity-tight workloads.
+//! but on interval-structured conflicts `tests/temporal_online.rs`
+//! asserts arrival order keeps at least 70% of offline Greedy-GEACC's
+//! MaxSum.
 
 use crate::algorithms::NeighborOracle;
 use crate::model::arrangement::Arrangement;

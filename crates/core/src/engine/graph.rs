@@ -40,10 +40,9 @@
 //!    `split_at_mut` partitions.
 //!
 //! Work is split by index ranges and written to disjoint slices, so the
-//! arrays are bit-identical at every thread count (the same discipline
-//! as [`Instance::dense_similarity`], which this replaces on the solver
-//! hot paths: the graph costs `O(P)` memory for `P` positive pairs
-//! instead of `O(|V|·|U|)`). The worker budget is floored by
+//! arrays are bit-identical at every thread count. The graph costs
+//! `O(P)` memory for `P` positive pairs instead of the `O(|V|·|U|)` of a
+//! dense similarity matrix. The worker budget is floored by
 //! [`Threads::cost_capped`] on the dense cell count, so small instances
 //! build inline instead of paying fork-join overhead per array.
 //!

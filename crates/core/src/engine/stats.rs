@@ -3,7 +3,7 @@
 //! Every [`solve_on`][crate::engine::solve_on] call records its solver
 //! and wall-clock cost into a fixed set of atomic counters — one slot
 //! per registered algorithm — so any surface (the server's `stats` op,
-//! the bench bins, tests) can ask "how many solves ran through each
+//! the benchmark, tests) can ask "how many solves ran through each
 //! solver, and how long did they take?" without threading a collector
 //! through every call site. Recording is two relaxed atomic adds; the
 //! snapshot is a racy-but-consistent-enough read (counts and nanos are
@@ -121,18 +121,6 @@ impl EngineStats {
                 last_best_bits: BEST[i].load(Ordering::Relaxed),
             })
             .collect()
-    }
-
-    /// Reset every counter to zero (bench bins isolate their phases
-    /// with this; tests should read deltas instead, since the counters
-    /// are process-wide and tests run concurrently).
-    pub fn reset() {
-        for i in 0..NUM_SOLVER_SLOTS {
-            CALLS[i].store(0, Ordering::Relaxed);
-            NANOS[i].store(0, Ordering::Relaxed);
-            IMPROVEMENTS[i].store(0, Ordering::Relaxed);
-            BEST[i].store(0, Ordering::Relaxed);
-        }
     }
 }
 

@@ -307,33 +307,6 @@ impl Instance {
         }
     }
 
-    /// Materialize the full `|V| × |U|` interestingness matrix, rows
-    /// computed on `threads` scoped workers and assembled in row order
-    /// (so the result is identical at every thread count).
-    ///
-    /// Useful ahead of workloads that probe similarities in random order
-    /// — repeated exact solves, the local-search improver — where the
-    /// `O(|V|·|U|·d)` attribute arithmetic would otherwise be paid per
-    /// probe. For matrix-specified instances this is a plain copy.
-    pub fn dense_similarity(&self, threads: crate::parallel::Threads) -> SimMatrix {
-        let (nv, nu) = (self.num_events(), self.num_users());
-        // Floor the grain on dense cells: row counts alone overstate the
-        // work of short rows, and forking for a sub-millisecond fill is
-        // a net loss (the regression CSR builds showed at 4 threads).
-        let threads =
-            threads.cost_capped(nv.saturating_mul(nu), crate::parallel::SIM_CELLS_PER_WORKER);
-        let rows = crate::parallel::par_map(threads, nv, |v| {
-            let mut row = Vec::new();
-            self.similarity_row(EventId(v as u32), &mut row);
-            row
-        });
-        let mut flat = Vec::with_capacity(nv * nu);
-        for row in &rows {
-            flat.extend_from_slice(row);
-        }
-        SimMatrix::from_flat(nv, nu, flat)
-    }
-
     /// Iterate over all event ids.
     pub fn events(&self) -> impl Iterator<Item = EventId> {
         (0..self.num_events() as u32).map(EventId)
@@ -706,32 +679,6 @@ impl<'de> Deserialize<'de> for Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_similarity_matches_pointwise_at_every_thread_count() {
-        use crate::parallel::Threads;
-        let mut b = Instance::builder(3, SimilarityModel::Euclidean { t: 10.0 });
-        for v in 0..40 {
-            b.event(&[(v % 7) as f64, (v % 5) as f64, (v % 3) as f64], 2);
-        }
-        for u in 0..25 {
-            b.user(&[(u % 4) as f64, (u % 9) as f64, (u % 6) as f64], 1);
-        }
-        let inst = b.build().unwrap();
-        let reference = inst.dense_similarity(Threads::single());
-        for t in [2, 4, 8] {
-            let dense = inst.dense_similarity(Threads::new(t));
-            assert_eq!(dense, reference, "threads = {t}");
-        }
-        for v in inst.events() {
-            for u in inst.users() {
-                assert_eq!(
-                    reference.get(v.index(), u.index()).to_bits(),
-                    inst.similarity(v, u).to_bits()
-                );
-            }
-        }
-    }
 
     fn small_instance() -> Instance {
         let mut b = Instance::builder(2, SimilarityModel::Euclidean { t: 10.0 });

@@ -1,6 +1,6 @@
 //! The parallel runtime configuration and shared-incumbent primitive.
 //!
-//! The fork-join substrate ([`Threads`], [`par_map`], [`par_map_coarse`],
+//! The fork-join substrate ([`Threads`], [`par_map_coarse`],
 //! [`split_ranges`]) lives in `geacc_index::parallel` (the dependency-free
 //! bottom of the workspace) and is re-exported here; this module adds the
 //! one synchronization primitive the algorithms need: [`SharedBest`], a
@@ -18,14 +18,12 @@
 //! could contain an improvement. Correctness therefore does not depend
 //! on memory-ordering subtleties, which is why `Relaxed` suffices.
 
-pub use geacc_index::parallel::{par_map, par_map_coarse, split_ranges, Threads, THREADS_ENV};
+pub use geacc_index::parallel::{par_map_coarse, split_ranges, Threads, THREADS_ENV};
 
 /// A worker must have at least this many dense similarity cells
 /// (`|V|·|U|` units) to be worth spawning; below it, fork-join overhead
-/// exceeds the scan itself. The candidate-graph build and
-/// [`Instance::dense_similarity`][crate::Instance::dense_similarity]
-/// both floor their worker budget with
-/// [`Threads::cost_capped`]`(|V|·|U|, SIM_CELLS_PER_WORKER)`.
+/// exceeds the scan itself. The candidate-graph build floors its worker
+/// budget with [`Threads::cost_capped`]`(|V|·|U|, SIM_CELLS_PER_WORKER)`.
 pub(crate) const SIM_CELLS_PER_WORKER: usize = 1 << 17;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,7 +105,7 @@ mod tests {
     #[test]
     fn reexports_are_usable() {
         assert_eq!(Threads::new(3).get(), 3);
-        let doubled = par_map(Threads::new(2), 100, |i| i * 2);
+        let doubled = par_map_coarse(Threads::new(2), 100, |i| i * 2);
         assert_eq!(doubled[99], 198);
     }
 }

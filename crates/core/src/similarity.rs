@@ -122,9 +122,7 @@ impl SimMatrix {
     }
 
     /// Build from a flat row-major buffer of `num_events · num_users`
-    /// values in `[0, 1]`. This is the zero-copy assembly point for
-    /// [`crate::Instance::dense_similarity`], whose rows are computed on
-    /// a thread pool and concatenated in row order.
+    /// values in `[0, 1]`, taking the buffer without a copy.
     ///
     /// # Panics
     ///

@@ -36,8 +36,8 @@ fn small_config() -> impl Strategy<Value = SyntheticConfig> {
         })
 }
 
-/// Larger instances for the polynomial paths (greedy, oracle, dense
-/// similarities), where exact search would not terminate.
+/// Larger instances for the polynomial paths (greedy, the oracle),
+/// where exact search would not terminate.
 fn medium_config() -> impl Strategy<Value = SyntheticConfig> {
     (
         5usize..=20,
@@ -166,32 +166,6 @@ proptest! {
         for t in [1usize, 4] {
             let graph = CandidateGraph::build(&inst, Threads::new(t));
             assert_oracle_matches_graph(&graph, &mut NeighborOracle::new(&inst));
-        }
-    }
-
-    /// The dense similarity matrix is bit-identical at every thread
-    /// count and agrees with pointwise evaluation.
-    #[test]
-    fn dense_similarity_is_identical_at_every_thread_count(config in medium_config()) {
-        let inst = config.generate();
-        let base = inst.dense_similarity(Threads::single());
-        for t in [2usize, 8] {
-            let par = inst.dense_similarity(Threads::new(t));
-            for v in 0..inst.num_events() {
-                for u in 0..inst.num_users() {
-                    prop_assert_eq!(
-                        base.get(v, u).to_bits(),
-                        par.get(v, u).to_bits(),
-                        "cell ({}, {}) diverged at {} threads", v, u, t
-                    );
-                }
-            }
-        }
-        for v in 0..inst.num_events() {
-            for u in 0..inst.num_users() {
-                let direct = inst.similarity(EventId(v as u32), UserId(u as u32));
-                prop_assert_eq!(base.get(v, u).to_bits(), direct.to_bits());
-            }
         }
     }
 }

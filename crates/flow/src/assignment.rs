@@ -4,7 +4,7 @@
 //! *min-cost b-matching*: left nodes with capacities, right nodes with
 //! capacities, unit edges with real costs. This module packages that
 //! shape once — network layout, arc-id arithmetic, pair extraction — so
-//! `geacc-core`'s MinCostFlow-GEACC, the benches, and any future caller
+//! `geacc-core`'s MinCostFlow-GEACC and any future caller
 //! share one audited implementation instead of re-deriving the layout.
 //!
 //! Layout contract (stable, relied on by [`BipartiteMatcher::cross_arc`]):

@@ -3,7 +3,7 @@
 //! An independent route to the same optimum as [`crate::mincost`]: first
 //! route a *maximum* flow ignoring costs (Dinic), then repeatedly cancel
 //! negative-cost cycles in the residual graph until none remain — the
-//! classical optimality criterion. Asymptotically inferior to the
+//! classical optimality condition. Asymptotically inferior to the
 //! Successive Shortest Path solver the paper prescribes, but:
 //!
 //! - it reaches optimality through a completely different invariant, so

@@ -3,16 +3,16 @@
 //! The workspace's dependency policy rules out rayon, so the parallel
 //! runtime is built directly on scoped threads: a [`Threads`] budget
 //! resolved from `GEACC_THREADS` / `std::thread::available_parallelism`,
-//! plus two deterministic fork-join maps — [`par_map`] (static index
-//! ranges for many cheap items) and [`par_map_coarse`] (a shared cursor
-//! for few heavy ones). Both degrade to plain sequential loops at
-//! `Threads(1)`, so callers pay no thread overhead in the common
-//! single-core case.
+//! [`split_ranges`] (the static index ranges the candidate-graph build
+//! hands its workers) and one deterministic fork-join map,
+//! [`par_map_coarse`] (a shared cursor for few heavy items). The map
+//! degrades to a plain sequential loop at `Threads(1)`, so callers pay
+//! no thread overhead in the common single-core case.
 //!
 //! Determinism contract: the *value* produced by these helpers is a pure
-//! function of the input — work is split by index ranges and results are
-//! reassembled in index order, so the output is identical at every
-//! thread count. Only wall-clock timing varies.
+//! function of the input — results are reassembled in index order, so
+//! the output is identical at every thread count. Only wall-clock timing
+//! varies.
 
 use std::num::NonZeroUsize;
 
@@ -33,10 +33,6 @@ fn join_propagating<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "GEACC_THREADS";
-
-/// Below this many items per prospective worker, fork-join overhead
-/// dominates and the helpers run sequentially.
-const MIN_ITEMS_PER_WORKER: usize = 16;
 
 /// A worker-count budget for the fork-join helpers.
 ///
@@ -87,9 +83,6 @@ impl Threads {
     /// `min_cost_per_worker` units of `total_cost` (both in any
     /// caller-chosen unit: items, dense cells, bytes).
     ///
-    /// The per-*item* floor baked into [`par_map`] assumes items are
-    /// cheap and uniform; callers whose items are whole rows or panels
-    /// know the real work better.
     /// Forking 4 workers over a job worth a fraction of a millisecond
     /// is a net loss — each spawn/join costs tens of microseconds and,
     /// on hosts with less parallelism than the budget, the workers just
@@ -130,46 +123,14 @@ pub fn split_ranges(n: usize, workers: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Map `f` over `0..n`, producing results in index order.
-///
-/// Ranges are computed by [`split_ranges`]; each worker fills its own
-/// `Vec` and the chunks are concatenated in range order, so the result
-/// equals `(0..n).map(f).collect()` at every thread count.
-pub fn par_map<U, F>(threads: Threads, n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    if threads.get() == 1 || n < 2 * MIN_ITEMS_PER_WORKER {
-        return (0..n).map(f).collect();
-    }
-    let workers = threads.get().min(n / MIN_ITEMS_PER_WORKER).max(1);
-    let ranges = split_ranges(n, workers);
-    let mut parts: Vec<Vec<U>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let f = &f;
-                scope.spawn(move || (start..end).map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        handles.into_iter().map(join_propagating).collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in &mut parts {
-        out.append(part);
-    }
-    out
-}
-
-/// Like [`par_map`], but for *few, coarse* items (benchmark sweep cells,
+/// Map `f` over `0..n` for *few, coarse* items (benchmark sweep cells,
 /// whole-figure panels) whose per-item cost is large and uneven.
 ///
-/// Differences from [`par_map`]: no minimum-items threshold (any `n ≥ 2`
-/// forks when `threads > 1`), and items are claimed dynamically from a
-/// shared cursor rather than split into static ranges, so one slow item
-/// does not idle the other workers. Results are still returned in index
-/// order — the output is identical at every thread count.
+/// Any `n ≥ 2` forks when `threads > 1`, and items are claimed
+/// dynamically from a shared cursor rather than split into static
+/// ranges, so one slow item does not idle the other workers. Results are
+/// returned in index order — the output equals `(0..n).map(f).collect()`
+/// at every thread count.
 pub fn par_map_coarse<U, F>(threads: Threads, n: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -229,21 +190,6 @@ mod tests {
                 assert_eq!(next, n);
             }
         }
-    }
-
-    #[test]
-    fn par_map_matches_sequential_at_every_thread_count() {
-        let expected: Vec<u64> = (0..1000).map(|i| (i as u64) * 3 + 1).collect();
-        for t in [1, 2, 3, 8, 33] {
-            let got = par_map(Threads::new(t), 1000, |i| (i as u64) * 3 + 1);
-            assert_eq!(got, expected, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn par_map_handles_small_inputs_inline() {
-        assert_eq!(par_map(Threads::new(8), 3, |i| i), vec![0, 1, 2]);
-        assert!(par_map(Threads::new(8), 0, |i| i).is_empty());
     }
 
     #[test]

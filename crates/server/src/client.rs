@@ -1,7 +1,7 @@
 //! A reusable retrying client for the line protocol.
 //!
-//! Backs both the CLI (`geacc promote`, ad-hoc ops) and the bench
-//! loadgen. Handles per-request deadlines, reconnects on transport
+//! Backs both the CLI (`geacc promote`, ad-hoc ops) and the
+//! `replication` bench. Handles per-request deadlines, reconnects on transport
 //! errors, jittered exponential backoff on `overloaded` and connect
 //! failures (a server `retry_after_ms` hint replaces the exponential
 //! outright — the server knows its drain rate better than a guess
@@ -68,7 +68,7 @@ impl Default for ClientConfig {
     }
 }
 
-/// Counters a caller can surface (loadgen reports these).
+/// Counters a caller can surface (the failover tests assert on them).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClientStats {
     /// Logical requests issued.

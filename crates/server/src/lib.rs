@@ -24,7 +24,7 @@
 //!   the replication stream, replicas elect deterministically on lease
 //!   expiry, stale primaries self-fence and demote.
 //! - [`client`] — a retrying client with idempotency keys and cluster
-//!   topology awareness (CLI and loadgen share it).
+//!   topology awareness (the CLI and the `replication` bench share it).
 //! - [`chaos`] — a deterministic network-chaos proxy for tests.
 //!
 //! Start one from the CLI (`geacc serve --addr 127.0.0.1:7411`) and

@@ -1,36 +1,55 @@
 #!/usr/bin/env bash
-# Regenerate the benchmark snapshots:
+# Regenerate the two benchmark snapshots every speed number in README,
+# DESIGN, EXPERIMENTS and CONTRIBUTING cites:
 #
-#   BENCH_parallel.json    — thread-scaling for the parallel runtime
-#                            (Prune-GEACC branch-and-bound, Greedy over
-#                            the shared candidate graph, dense
-#                            similarity build) at 1/2/4/8 workers;
-#   BENCH_resilience.json  — budget-meter overhead (meterless vs
-#                            unlimited-meter runs, asserted
-#                            bit-identical) plus a 100 ms deadline
-#                            demonstration on a pathological
-#                            branch-and-bound instance.
+#   BENCH_perfbench.json   — the repository benchmark (the BENCHMARK.json
+#                            command) on all four workloads at --seed 1
+#                            --seconds 12, once untraced (--trace 0) and
+#                            once traced (--trace 1). A JSON array with
+#                            one element per run; each element is the
+#                            run's three stdout objects (provenance,
+#                            report, summary), verbatim.
+#   BENCH_replication.json — replica lag, promote-to-first-ack failover
+#                            and the unattended failover MTTR.
 #
-# Usage: scripts/bench_snapshot.sh [--quick]
-#   --quick  millisecond-scale instances (smoke test, not a measurement)
+# Both are stamped with commit, UTC date and host. Both files are
+# overwritten in place.
 #
-# Both snapshots record the host's available parallelism: on a
-# single-core runner the speedups are ≈ 1× by physics, and the binaries
-# still assert that every configuration produces bit-identical results,
-# which is the part a single core *can* verify.
+# Usage: scripts/bench_snapshot.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK=()
-if [ "${1:-}" = "--quick" ]; then
-    QUICK=(-- --quick)
+# Sources with uncommitted changes are stamped as their base commit with
+# a -dirty suffix; a caller may name the commit itself.
+if [ -z "${GEACC_BENCH_COMMIT:-}" ] && [ -d .git ]; then
+    GEACC_BENCH_COMMIT=$(git rev-parse HEAD)
+    if [ -n "$(git status --porcelain -- crates vendor perfbench Cargo.toml Cargo.lock)" ]; then
+        GEACC_BENCH_COMMIT="$GEACC_BENCH_COMMIT-dirty"
+    fi
+    export GEACC_BENCH_COMMIT
 fi
 
-echo "== thread-scaling snapshot (nproc = $(nproc)) =="
-cargo run --release -p geacc-bench --bin scaling "${QUICK[@]}"
+OUT=BENCH_perfbench.json
+TMP=$(mktemp)
+trap 'rm -f "$TMP"' EXIT
 
-echo "== resilience-overhead snapshot =="
-cargo run --release -p geacc-bench --bin resilience "${QUICK[@]}"
+printf '[' > "$TMP"
+sep=''
+for trace in 0 1; do
+    for workload in read_zipf mixed_rw solve_mix offline_paper; do
+        echo "== perfbench $workload --trace $trace =="
+        RUN=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 12 --trace "$trace")
+        [ "$(printf '%s\n' "$RUN" | wc -l)" -eq 3 ] \
+            || { echo "perfbench $workload: expected 3 stdout lines, got: $RUN"; exit 1; }
+        printf '%s\n[%s]' "$sep" "$(printf '%s' "$RUN" | paste -sd,)" >> "$TMP"
+        sep=','
+    done
+done
+printf '\n]\n' >> "$TMP"
+mv "$TMP" "$OUT"
+echo "wrote $OUT"
 
-echo "done — snapshots in BENCH_parallel.json and BENCH_resilience.json"
+echo "== replication snapshot =="
+cargo run --release --offline --quiet -p geacc-bench --bin replication

@@ -1,15 +1,27 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, release build (plus a locked build
-# of the separate perfbench workspace and a one-second answer-checked
-# run of each of its workloads), lints, the workspace
-# test suite at two worker-pool sizes — GEACC_THREADS=1 exercises every
-# sequential code path, GEACC_THREADS=4 the scoped-thread parallel
-# paths (including the resilience suite's worker-panic and
-# mid-flight-cancellation scenarios, which behave differently under
-# contention) — a one-repeat engine-bench run under its `--smoke`
-# wall-clock gate, a non-blocking-reads gate (loadgen --smoke: read
-# p99 under 10 ms while a solve wedges the worker), and an end-to-end
-# smoke of the `geacc serve` daemon over a real socket.
+# The full local gate, in order:
+#
+# - cargo fmt --check, and the release build;
+# - a locked build of the separate perfbench workspace, and a
+#   one-second answer-checked run of each of its four workloads;
+# - clippy -D warnings, and cargo doc with warnings as errors;
+# - the engine differential-equivalence gate (engine_equiv) at 1 and 4
+#   threads;
+# - the workspace test suite at two worker-pool sizes: GEACC_THREADS=1
+#   exercises every sequential code path, GEACC_THREADS=4 the
+#   scoped-thread parallel paths (including the resilience suite's
+#   worker-panic and mid-flight-cancellation scenarios, which behave
+#   differently under contention);
+# - the non-blocking-reads gate (nonblocking_reads: read p99 under
+#   10 ms while a 2 s solve wedges the only worker, and identical
+#   solves coalesced into one batch);
+# - the fig3 solve smoke through the CLI: MinCostFlow-GEACC completes
+#   within a 2 s deadline on the 100x1000 instance, and a 2 s ALNS run
+#   keeps at least its Greedy-GEACC seed's MaxSum on the 50x500 and
+#   100x1000 instances;
+# - end-to-end smokes of the `geacc serve` daemon over real sockets:
+#   one session, crash recovery after kill -9, replication failover
+#   with `promote`, and unattended failover with none.
 #
 # Usage: scripts/ci.sh
 
@@ -66,49 +78,53 @@ GEACC_THREADS=1 cargo test --workspace -q
 echo "== cargo test (GEACC_THREADS=4) =="
 GEACC_THREADS=4 cargo test --workspace -q
 
-echo "== engine bench smoke =="
-# One-repeat engine bench run under the --smoke wall-clock gate: a
-# MinCostFlow SSP kernel regression (beyond the generous ceiling baked
-# into the bench bin) fails CI here instead of only drifting in the
-# committed BENCH_engine.json. Writes to a throwaway path so the
-# pinned-host snapshot in the repo is never clobbered by CI timings.
-BENCH_SMOKE_DIR=$(mktemp -d)
-./target/release/engine --repeats 1 --smoke \
-    --out "$BENCH_SMOKE_DIR/BENCH_engine.json"
-rm -rf "$BENCH_SMOKE_DIR"
-
-echo "== non-blocking reads smoke =="
+echo "== non-blocking reads gate =="
 # The serving-layer contract: while a 2 s budgeted exact solve wedges
 # the only worker, synchronous reads answered inline on the event loop
-# must hold a p99 under 10 ms — reads never queue behind solves. The
-# loadgen's --smoke mode runs just that phase and exits nonzero on a
-# violation (it also exercises the solve-batch coalescing path).
-./target/release/loadgen --smoke
+# must hold a p99 under 10 ms (reads never queue behind solves), and
+# four identical concurrent solves must ride one batch. The test is a
+# binary of its own, so nothing else competes for the cores while it
+# times reads.
+cargo test -p geacc-server --test nonblocking_reads -q
 
-echo "== alns anytime smoke =="
-# The anytime-quality gate end to end through the CLI: on a fig3-shaped
-# synthetic instance, a 2 s ALNS run must return at least the MaxSum of
-# the Greedy-GEACC seed it starts from (exit 3 = budget-stopped
-# incumbent is the expected status for the budgeted run).
-ALNS_SMOKE_DIR=$(mktemp -d)
-./target/release/geacc generate --kind synthetic --events 50 --users 500 \
-    --seed 2015 --output "$ALNS_SMOKE_DIR/fig3.json" > /dev/null
-GREEDY_LINE=$(./target/release/geacc solve --input "$ALNS_SMOKE_DIR/fig3.json" \
-    --algorithm greedy)
-ALNS_LINE=$(./target/release/geacc solve --input "$ALNS_SMOKE_DIR/fig3.json" \
-    --algorithm alns --seed 2015 --timeout-ms 2000) || [ $? -eq 3 ]
-GREEDY_SUM=$(printf '%s' "$GREEDY_LINE" | sed -n 's/.*MaxSum \([0-9.]*\).*/\1/p')
-ALNS_SUM=$(printf '%s' "$ALNS_LINE" | sed -n 's/.*MaxSum \([0-9.]*\).*/\1/p')
-[ -n "$GREEDY_SUM" ] && [ -n "$ALNS_SUM" ] \
-    || { echo "alns smoke: could not parse MaxSum: [$GREEDY_LINE] [$ALNS_LINE]"; exit 1; }
-awk -v a="$ALNS_SUM" -v g="$GREEDY_SUM" 'BEGIN { exit !(a >= g) }' \
-    || { echo "alns smoke: ALNS $ALNS_SUM fell below greedy $GREEDY_SUM"; exit 1; }
-case "$ALNS_LINE" in
-    *'seed 2015'*) ;;
-    *) echo "alns smoke: solve line did not echo the seed: $ALNS_LINE"; exit 1 ;;
-esac
-rm -rf "$ALNS_SMOKE_DIR"
-echo "alns anytime smoke: ok (greedy $GREEDY_SUM -> alns $ALNS_SUM)"
+echo "== fig3 solve smoke =="
+# Two solver gates end to end through the CLI, on fig3-shaped synthetic
+# instances (generator seed 2015); 100x1000 is fig3's default point.
+# - MinCostFlow-GEACC must complete on the 100x1000 instance within a
+#   2 s deadline. It ticks its budget meter once per augmentation, so a
+#   kernel slower than that stops at the deadline, exits 3 and fails
+#   this step.
+# - On both instances, a 2 s ALNS run (seed 2015) must return at least
+#   the MaxSum of the Greedy-GEACC seed it starts from (exit 3 = a
+#   budget-stopped incumbent is the expected status for the budgeted
+#   run).
+SOLVE_SMOKE_DIR=$(mktemp -d)
+for size in 50x500 100x1000; do
+    ./target/release/geacc generate --kind synthetic --events "${size%x*}" \
+        --users "${size#*x}" --seed 2015 --output "$SOLVE_SMOKE_DIR/$size.json" > /dev/null
+done
+MCF_LINE=$(./target/release/geacc solve --input "$SOLVE_SMOKE_DIR/100x1000.json" \
+    --algorithm mincostflow --timeout-ms 2000) \
+    || { echo "mcf smoke: MinCostFlow-GEACC missed its 2 s deadline: $MCF_LINE"; exit 1; }
+echo "mcf smoke: ok ($MCF_LINE)"
+for size in 50x500 100x1000; do
+    GREEDY_LINE=$(./target/release/geacc solve --input "$SOLVE_SMOKE_DIR/$size.json" \
+        --algorithm greedy)
+    ALNS_LINE=$(./target/release/geacc solve --input "$SOLVE_SMOKE_DIR/$size.json" \
+        --algorithm alns --seed 2015 --timeout-ms 2000) || [ $? -eq 3 ]
+    GREEDY_SUM=$(printf '%s' "$GREEDY_LINE" | sed -n 's/.*MaxSum \([0-9.]*\).*/\1/p')
+    ALNS_SUM=$(printf '%s' "$ALNS_LINE" | sed -n 's/.*MaxSum \([0-9.]*\).*/\1/p')
+    [ -n "$GREEDY_SUM" ] && [ -n "$ALNS_SUM" ] \
+        || { echo "alns smoke: could not parse MaxSum: [$GREEDY_LINE] [$ALNS_LINE]"; exit 1; }
+    awk -v a="$ALNS_SUM" -v g="$GREEDY_SUM" 'BEGIN { exit !(a >= g) }' \
+        || { echo "alns smoke $size: ALNS $ALNS_SUM fell below greedy $GREEDY_SUM"; exit 1; }
+    case "$ALNS_LINE" in
+        *'seed 2015'*) ;;
+        *) echo "alns smoke: solve line did not echo the seed: $ALNS_LINE"; exit 1 ;;
+    esac
+    echo "alns anytime smoke $size: ok (greedy $GREEDY_SUM -> alns $ALNS_SUM)"
+done
+rm -rf "$SOLVE_SMOKE_DIR"
 
 echo "== server smoke =="
 # Boot the daemon on an ephemeral port, drive one session with bash's

@@ -24,7 +24,4 @@ for fig in fig3 fig4 fig5 fig6; do
     fi
 done
 
-echo "== Criterion kernels and ablations =="
-cargo bench --workspace
-
-echo "done — CSVs in results/, criterion reports in target/criterion/"
+echo "done — CSVs in results/"
