@@ -4,7 +4,7 @@
 use crate::args::ParsedArgs;
 use crate::io::{load_arrangement, load_instance, to_json, write_output, CliError};
 use geacc_core::algorithms::{self, Algorithm};
-use geacc_core::engine::{self, SolveParams, SolverRegistry};
+use geacc_core::engine::{self, CandidateGraph, SolveParams};
 use geacc_core::parallel::Threads;
 use geacc_core::runtime::{BudgetMeter, SolveBudget, SolverPipeline};
 use geacc_datagen::{AttrDistribution, City, MeetupConfig, SyntheticConfig};
@@ -59,7 +59,7 @@ USAGE:
   geacc validate --input FILE --arrangement FILE
   geacc stats    --input FILE
   geacc inspect  --input FILE --arrangement FILE [--top N] [--certify]
-  geacc improve  --input FILE --arrangement FILE [--output FILE] [--max-passes N]
+  geacc improve  --input FILE --arrangement FILE [--output FILE] [--max-nodes N]
   geacc toy      [--output FILE]
   geacc serve    [--addr HOST:PORT] [--workers N] [--io-threads N]
                  [--queue-depth N]
@@ -90,6 +90,11 @@ with the adaptive large-neighborhood search — reported as degraded to
 ALNS-GEACC only when it actually improves the arrangement), or an
 error. Exit codes: 0 complete, 3 incumbent, 4 degraded to a fallback
 algorithm, 5 timed out without an arrangement.
+
+`improve` refines a feasible arrangement with ALNS-GEACC warm-started
+from it (seed 0; an empty arrangement starts from Greedy-GEACC, whose
+work counts against the budget). It never lowers MaxSum. --max-nodes
+bounds its iterations; without it the search stops after 25000.
 
 `serve` runs the long-lived arrangement daemon: newline-delimited JSON
 over TCP (load/mutate/query_user/query_event/solve/snapshot/restore/
@@ -208,9 +213,18 @@ fn generate(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn parse_algorithm(name: &str, seed: u64) -> Result<Algorithm, CliError> {
-    SolverRegistry::global()
-        .parse(name, seed)
-        .map_err(|e| CliError(e.to_string()))
+    Algorithm::parse(name, seed).map_err(|e| CliError(e.to_string()))
+}
+
+/// An optional numeric flag: `None` when absent, an error when it does
+/// not parse.
+fn optional_u64(args: &ParsedArgs, name: &str) -> Result<Option<u64>, CliError> {
+    args.value(name)?
+        .map(|v| {
+            v.parse()
+                .map_err(|e| CliError(format!("invalid value for --{name}: {e}")))
+        })
+        .transpose()
 }
 
 /// Resolve the worker budget for commands that accept `--threads`:
@@ -245,20 +259,8 @@ fn solve(args: &ParsedArgs) -> Result<CmdOutput, CliError> {
     let seed: u64 = args.parsed_or("seed", 0)?;
     let threads = threads_arg(args)?;
     let algorithm = parse_algorithm(args.value("algorithm")?.unwrap_or("greedy"), seed)?;
-    let timeout_ms: Option<u64> = args
-        .value("timeout-ms")?
-        .map(|v| {
-            v.parse()
-                .map_err(|e| CliError(format!("invalid value for --timeout-ms: {e}")))
-        })
-        .transpose()?;
-    let max_nodes: Option<u64> = args
-        .value("max-nodes")?
-        .map(|v| {
-            v.parse()
-                .map_err(|e| CliError(format!("invalid value for --max-nodes: {e}")))
-        })
-        .transpose()?;
+    let timeout_ms = optional_u64(args, "timeout-ms")?;
+    let max_nodes = optional_u64(args, "max-nodes")?;
     let on_timeout = args.value("on-timeout")?;
     if let Some(policy) = on_timeout {
         if !matches!(policy, "incumbent" | "greedy" | "alns" | "error") {
@@ -302,7 +304,7 @@ fn solve(args: &ParsedArgs) -> Result<CmdOutput, CliError> {
         algorithms::dp_state_space(&instance).map_err(|e| CliError(e.to_string()))?;
     }
     let start = Instant::now();
-    // One dispatch path for every algorithm: the engine registry over a
+    // One dispatch path for every algorithm: the engine's `solve_on` over a
     // shared candidate graph, with an unlimited meter (bit-identical to
     // the classic meterless entry points). The worker budget reaches
     // graph construction and the parallel solvers; results are
@@ -504,8 +506,7 @@ fn inspect(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn improve_cmd(args: &ParsedArgs) -> Result<String, CliError> {
-    use geacc_core::algorithms::localsearch::{improve, LocalSearchConfig};
-    args.expect_only(&["input", "arrangement", "output", "max-passes"])?;
+    args.expect_only(&["input", "arrangement", "output", "max-nodes"])?;
     let instance = load_instance(args.required("input")?)?;
     let arrangement = load_arrangement(args.required("arrangement")?)?;
     let violations = arrangement.validate(&instance);
@@ -515,23 +516,28 @@ fn improve_cmd(args: &ParsedArgs) -> Result<String, CliError> {
             violations.len()
         )));
     }
+    let max_nodes = optional_u64(args, "max-nodes")?;
     let before = arrangement.max_sum();
-    let config = LocalSearchConfig {
-        max_passes: args.parsed_or("max-passes", 32usize)?,
-        ..LocalSearchConfig::default()
-    };
+    let params = SolveParams::default();
+    let meter = BudgetMeter::new(&SolveBudget {
+        max_nodes,
+        ..SolveBudget::UNLIMITED
+    });
     let start = Instant::now();
-    let result = improve(&instance, arrangement, config);
+    let graph = CandidateGraph::build(&instance, params.threads);
+    let outcome = engine::refine_on(&graph, &params, &meter, &arrangement);
     let elapsed = start.elapsed();
-    debug_assert!(result.arrangement.validate(&instance).is_empty());
+    debug_assert!(outcome.arrangement.validate(&instance).is_empty());
     if let Some(output) = args.value("output")? {
-        write_output(output, &to_json(&result.arrangement)?)?;
+        write_output(output, &to_json(&outcome.arrangement)?)?;
     }
+    let alns = outcome.alns.expect("refine_on reports its ALNS counters");
     Ok(format!(
-        "local search: MaxSum {before:.4} → {:.4} ({} moves, {} passes, {elapsed:.3?})",
-        result.arrangement.max_sum(),
-        result.moves,
-        result.passes
+        "ALNS refine: MaxSum {before:.4} → {:.4} ({} iterations, {} improvements, seed {}, {elapsed:.3?})",
+        outcome.arrangement.max_sum(),
+        alns.iterations,
+        alns.improvements,
+        params.seed
     ))
 }
 
@@ -811,12 +817,18 @@ mod tests {
             "improve --input {inst} --arrangement {arr} --output {better}"
         ))
         .unwrap();
-        assert!(out.contains("local search"));
+        assert!(out.contains("ALNS refine"), "{out}");
         assert!(
             run_str(&format!("validate --input {inst} --arrangement {better}"))
                 .unwrap()
                 .contains("feasible")
         );
+        // A node budget bounds the run.
+        let out = run_str(&format!(
+            "improve --input {inst} --arrangement {arr} --max-nodes 10"
+        ))
+        .unwrap();
+        assert!(out.contains("(10 iterations"), "{out}");
     }
 
     #[test]

@@ -43,25 +43,12 @@ pub struct McfConfig {
     /// the sweep often much shorter. Off by default to follow the
     /// paper's full `Δ_min..Δ_max` loop.
     pub early_stop: bool,
-    /// Solve each user's conflict repair *exactly* instead of greedily.
-    /// The repair step is a per-user maximum-weight independent set; the
-    /// paper keeps it greedy because MWIS is NP-hard in general, but a
-    /// user's assigned set is capacity-bounded (≤ c_u events), so exact
-    /// bitmask enumeration is affordable up to
-    /// [`EXACT_REPAIR_LIMIT`] events and can only raise `MaxSum`.
-    /// Off by default (the paper's Algorithm 1); users with more
-    /// assigned events than the limit fall back to the greedy scan.
-    pub exact_repair: bool,
     /// Which frontier structure the SSP Dijkstra uses. The default
     /// radix heap and the classic binary heap are bit-identical in
     /// every observable (see [`SspHeap`] and DESIGN.md §13); the knob
     /// exists for differential testing and benchmarking.
     pub heap: SspHeap,
 }
-
-/// Largest per-user assigned-event count repaired exactly under
-/// [`McfConfig::exact_repair`] (2²⁰ subsets ≈ 1M, microseconds per user).
-pub const EXACT_REPAIR_LIMIT: usize = 20;
 
 /// Diagnostics from the relaxation phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,23 +163,17 @@ pub fn mincostflow_on(
             }
         }
 
-        // Phase 2 (lines 8–14): per-user independent set — greedy (the
-        // paper's Algorithm 1) or exact bitmask MWIS when configured.
+        // Phase 2 (lines 8–14): per-user independent set, greedily by
+        // similarity (the paper's Algorithm 1).
         for (u, list) in per_user.iter_mut().enumerate() {
             list.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
             let user = UserId(u as u32);
-            if config.exact_repair && list.len() <= EXACT_REPAIR_LIMIT {
-                for &(sim, v) in exact_independent_set(inst, list) {
+            for &(sim, v) in list.iter() {
+                if !inst
+                    .conflicts()
+                    .conflicts_with_any(v, arrangement.events_of(user))
+                {
                     arrangement.push_unchecked(v, user, sim);
-                }
-            } else {
-                for &(sim, v) in list.iter() {
-                    if !inst
-                        .conflicts()
-                        .conflicts_with_any(v, arrangement.events_of(user))
-                    {
-                        arrangement.push_unchecked(v, user, sim);
-                    }
                 }
             }
         }
@@ -209,48 +190,6 @@ pub fn mincostflow_on(
         },
         stopped,
     ))
-}
-
-/// Exact maximum-weight independent set over one user's assigned events
-/// by bitmask enumeration (`list.len() ≤ EXACT_REPAIR_LIMIT`). Returns
-/// the winning subset as a sub-slice selection.
-fn exact_independent_set<'l>(
-    inst: &Instance,
-    list: &'l [(f64, EventId)],
-) -> Vec<&'l (f64, EventId)> {
-    let n = list.len();
-    debug_assert!(n <= EXACT_REPAIR_LIMIT);
-    // Precompute pairwise conflict masks.
-    let mut conflict_mask = vec![0u32; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if inst.conflicts().conflicts(list[i].1, list[j].1) {
-                conflict_mask[i] |= 1 << j;
-                conflict_mask[j] |= 1 << i;
-            }
-        }
-    }
-    let mut best_mask = 0u32;
-    let mut best_weight = -1.0;
-    'outer: for mask in 0u32..(1 << n) {
-        let mut weight = 0.0;
-        for i in 0..n {
-            if mask >> i & 1 == 1 {
-                if conflict_mask[i] & mask != 0 {
-                    continue 'outer;
-                }
-                weight += list[i].0;
-            }
-        }
-        if weight > best_weight {
-            best_weight = weight;
-            best_mask = mask;
-        }
-    }
-    (0..n)
-        .filter(|&i| best_mask >> i & 1 == 1)
-        .map(|i| &list[i])
-        .collect()
 }
 
 /// Construct the paper's flow network `G_F` as a bipartite matcher:
@@ -328,65 +267,6 @@ mod tests {
         assert_eq!(res.arrangement.len(), 1);
         assert!(res.arrangement.contains(EventId(0), UserId(1)));
         assert!(res.arrangement.validate(&inst).is_empty());
-    }
-
-    #[test]
-    fn exact_repair_never_loses_to_greedy_repair() {
-        let inst = toy::table1_instance();
-        let greedy_repair = mincostflow(&inst);
-        let exact = mincostflow_with(
-            &inst,
-            McfConfig {
-                exact_repair: true,
-                ..McfConfig::default()
-            },
-        );
-        assert!(exact.arrangement.validate(&inst).is_empty());
-        assert!(exact.arrangement.max_sum() + 1e-12 >= greedy_repair.arrangement.max_sum());
-    }
-
-    #[test]
-    fn exact_repair_beats_greedy_on_an_adversarial_conflict_chain() {
-        // One user assigned three events in M_∅ with a path conflict
-        // v0–v1, v1–v2. Greedy repair takes the single best event v1
-        // (0.8) and is then blocked from both neighbours; exact repair
-        // takes {v0, v2} = 1.4.
-        let m = SimMatrix::from_rows(&[vec![0.7], vec![0.8], vec![0.7]]);
-        let inst = Instance::from_matrix(
-            m,
-            vec![1, 1, 1],
-            vec![3],
-            ConflictGraph::from_pairs(3, [(EventId(0), EventId(1)), (EventId(1), EventId(2))]),
-        )
-        .unwrap();
-        let greedy_repair = mincostflow(&inst);
-        assert!((greedy_repair.arrangement.max_sum() - 0.8).abs() < 1e-9);
-        let exact = mincostflow_with(
-            &inst,
-            McfConfig {
-                exact_repair: true,
-                ..McfConfig::default()
-            },
-        );
-        assert!((exact.arrangement.max_sum() - 1.4).abs() < 1e-9);
-        assert!(exact.arrangement.validate(&inst).is_empty());
-    }
-
-    #[test]
-    fn exact_repair_equals_greedy_without_conflicts() {
-        let m = SimMatrix::from_rows(&[vec![0.9, 0.1], vec![0.3, 0.8]]);
-        let inst =
-            Instance::from_matrix(m, vec![1, 1], vec![1, 1], ConflictGraph::empty(2)).unwrap();
-        let a = mincostflow(&inst).arrangement;
-        let b = mincostflow_with(
-            &inst,
-            McfConfig {
-                exact_repair: true,
-                ..McfConfig::default()
-            },
-        )
-        .arrangement;
-        assert_eq!(a, b);
     }
 
     #[test]

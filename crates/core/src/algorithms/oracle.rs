@@ -1,10 +1,9 @@
 //! Incremental "next most-similar counterpart" streams over an
-//! [`Instance`], for the consumers that hold no candidate graph.
+//! [`Instance`], for the one consumer that holds no candidate graph.
 //!
-//! Localized repair in [`crate::dynamic`] and the
-//! [`OnlineArranger`][crate::algorithms::OnlineArranger] open streams
-//! for a few affected events or users and usually consume only a short,
-//! capacity-bounded prefix of each. Building the whole CSR
+//! Localized repair in [`crate::dynamic`] opens streams for a few
+//! affected events or users — a user arriving is one such repair — and
+//! usually consumes only a short, capacity-bounded prefix of each. Building the whole CSR
 //! [`CandidateGraph`][crate::engine::CandidateGraph] for that would cost
 //! `O(|V|·|U|)` per call, so each stream is *chunked*: a refill scans
 //! the counterpart side once (`O(n·d)`, contiguous memory), selects the

@@ -1,6 +1,6 @@
 //! Adaptive large-neighborhood search (ALNS-GEACC): destroy/repair
 //! over the shared CSR [`CandidateGraph`], with adaptive operator
-//! weights and simulated-annealing acceptance.
+//! weights and improve-or-plateau acceptance.
 //!
 //! The exact solvers (Prune-GEACC, the DP, even MinCostFlow's repair)
 //! stop scaling long before the greedy↔optimal `MaxSum` gap closes;
@@ -16,11 +16,11 @@
 //! 3. **repair** — re-match the freed region with Greedy-GEACC's
 //!    frontier discipline restricted to the destroyed nodes' oracle
 //!    streams;
-//! 4. **accept** — always on improvement, otherwise with probability
-//!    `exp(Δ/T)` under a geometrically cooling temperature; rejected
-//!    moves are undone exactly (evict the insertions, re-insert the
-//!    evictions);
-//! 5. **adapt** — every [`AlnsConfig::segment`] iterations each
+//! 4. **accept** — always when `MaxSum` does not fall; a worsening move
+//!    only with probability `exp(Δ/10⁻¹²)`, which is zero unless Δ is
+//!    float noise. Rejected moves are undone exactly (evict the
+//!    insertions, re-insert the evictions);
+//! 5. **adapt** — every 100 iterations each
 //!    operator's weight moves toward its reward rate
 //!    (`w ← (1−ρ)·w + ρ·score/calls`), with scores σ₁ > σ₂ > σ₃ for
 //!    new-best / improving / accepted-worse moves.
@@ -54,57 +54,45 @@ use crate::runtime::budget::{BudgetMeter, StopReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// ALNS knobs, carried inside [`SolveParams`]. Integer-only (permille
-/// where a ratio is meant) so `SolveParams` keeps its `Eq`.
+/// ALNS-GEACC's one setting, carried inside [`SolveParams`]. The
+/// search's tuning values are constants (below, and the destroy
+/// fraction in `operators.rs`); the fig3 tuning sweep (DESIGN §15)
+/// settled them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlnsConfig {
     /// Hard iteration cap — the self-termination bound under an
     /// unlimited meter. Budgets usually stop the search first.
     pub max_iterations: u32,
-    /// Fraction of matched pairs (‰) each destroy call evicts.
-    pub destroy_permille: u32,
-    /// Iterations per adaptive-weight segment.
-    pub segment: u32,
-    /// Reaction factor ρ (‰): how fast weights chase segment rewards.
-    pub reaction_permille: u32,
-    /// Reward σ₁ for a move that sets a new global best.
-    pub sigma_best: u32,
-    /// Reward σ₂ for a move that improves the current solution.
-    pub sigma_improving: u32,
-    /// Reward σ₃ for an accepted worsening move.
-    pub sigma_accepted: u32,
-    /// Initial temperature as ‰ of the seed objective (floored at 1.0),
-    /// so acceptance pressure scales with instance magnitude. `0`
-    /// disables worse-move acceptance entirely — noisy-repair hill
-    /// climbing with plateau drift, which won the fig3 tuning sweep and
-    /// is the default; raise it for more diversification on instances
-    /// where the search stalls in a local optimum.
-    pub start_temp_permille: u32,
-    /// Geometric cooling factor (‰) applied each iteration.
-    pub cooling_permille: u32,
-    /// Repair-noise amplitude (‰): each frontier candidate's selection
-    /// score is discounted by up to this fraction (Ropke–Pisinger noisy
-    /// greedy). Zero makes repair pure-greedy — which deterministically
-    /// rebuilds whatever destroy just evicted, freezing the search.
-    pub noise_permille: u32,
 }
 
 impl Default for AlnsConfig {
     fn default() -> Self {
         AlnsConfig {
             max_iterations: 25_000,
-            destroy_permille: 60,
-            segment: 100,
-            reaction_permille: 400,
-            sigma_best: 33,
-            sigma_improving: 9,
-            sigma_accepted: 1,
-            start_temp_permille: 0,
-            cooling_permille: 999,
-            noise_permille: 50,
         }
     }
 }
+
+/// Iterations per adaptive-weight segment.
+const SEGMENT: u64 = 100;
+/// Reaction factor ρ: how fast weights chase segment rewards.
+const REACTION: f64 = 0.4;
+/// Reward σ₁ for a move that sets a new global best.
+const SIGMA_BEST: u64 = 33;
+/// Reward σ₂ for a move that improves the current solution.
+const SIGMA_IMPROVING: u64 = 9;
+/// Reward σ₃ for an accepted worsening move.
+const SIGMA_ACCEPTED: u64 = 1;
+/// Repair-noise amplitude: each frontier candidate's selection score
+/// is discounted by up to this fraction (Ropke–Pisinger noisy greedy).
+/// Zero would make repair pure-greedy — which deterministically
+/// rebuilds whatever destroy just evicted, freezing the search.
+const NOISE: f64 = 0.05;
+/// Scale of the acceptance test for a worsening move of `delta`: it is
+/// accepted iff a uniform draw is below `exp(delta / ACCEPT_SCALE)`.
+/// At this scale only moves within float noise of zero pass, so the
+/// search is noisy-repair hill climbing with plateau drift (DESIGN §15).
+const ACCEPT_SCALE: f64 = 1e-12;
 
 /// Counters from one ALNS run, surfaced on the
 /// [`Outcome`][crate::runtime::Outcome] so callers can report anytime
@@ -124,7 +112,8 @@ pub struct AlnsStats {
 }
 
 /// Run ALNS over a prebuilt graph: seed from `warm` (or a fresh
-/// Greedy-GEACC run under the same meter when `None`), then
+/// Greedy-GEACC run under the same meter when `warm` is `None` or
+/// empty), then
 /// destroy/repair until the meter stops it or
 /// [`AlnsConfig::max_iterations`] is reached. Returns the best
 /// arrangement found (its `MaxSum` cache exactly resynchronized), the
@@ -151,10 +140,11 @@ pub fn alns_on_observed<F>(
 where
     F: FnMut(u64, &AlnsState),
 {
-    let config = params.alns;
     let seeded = match warm {
-        Some(w) => w.clone(),
-        None => greedy_on(graph, Some(meter)).0,
+        Some(w) if !w.is_empty() => w.clone(),
+        // Nothing to destroy in an empty arrangement: start it from
+        // Greedy-GEACC, as a cold run does.
+        _ => greedy_on(graph, Some(meter)).0,
     };
     let mut state = AlnsState::new(graph, seeded);
     let mut best = state.arrangement().clone();
@@ -171,15 +161,11 @@ where
     let mut weights = [1.0f64; OPERATORS.len()];
     let mut scores = [0u64; OPERATORS.len()];
     let mut calls = [0u64; OPERATORS.len()];
-    let reaction = (config.reaction_permille.min(1000)) as f64 / 1000.0;
-    let cooling = (config.cooling_permille.min(1000)) as f64 / 1000.0;
-    let noise = (config.noise_permille.min(1000)) as f64 / 1000.0;
-    let mut temp = (config.start_temp_permille as f64 / 1000.0) * best_obj.max(1.0);
     let mut stopped = None;
     let mut evicted = Vec::new();
     let mut inserted = Vec::new();
 
-    for it in 0..config.max_iterations as u64 {
+    for it in 0..params.alns.max_iterations as u64 {
         if let Some(reason) = meter.tick_coarse() {
             stopped = Some(reason);
             break;
@@ -190,16 +176,16 @@ where
         evicted.clear();
         inserted.clear();
         let before = state.objective();
-        OPERATORS[op].apply(&mut state, graph, &mut rng, &config, &mut evicted);
+        OPERATORS[op].apply(&mut state, graph, &mut rng, &mut evicted);
         if evicted.is_empty() {
             // Nothing to destroy (empty incumbent): the search space is
             // exhausted for this operator, keep ticking the budget.
             observe(it, &state);
             continue;
         }
-        operators::repair(&mut state, graph, &evicted, &mut inserted, &mut rng, noise);
+        operators::repair(&mut state, graph, &evicted, &mut inserted, &mut rng, NOISE);
         let delta = state.objective() - before;
-        let accept = delta >= 0.0 || rng.gen::<f64>() < (delta / temp.max(1e-12)).exp();
+        let accept = delta >= 0.0 || rng.gen::<f64>() < (delta / ACCEPT_SCALE).exp();
         if accept {
             stats.accepted += 1;
             if state.objective() > best_obj + 1e-9 {
@@ -210,11 +196,11 @@ where
                 // Anytime stream: every new incumbent is visible to
                 // monitoring surfaces the moment it is found.
                 EngineStats::record_improvement(Algorithm::Alns { seed: params.seed }, best_obj);
-                scores[op] += config.sigma_best as u64;
+                scores[op] += SIGMA_BEST;
             } else if delta > 0.0 {
-                scores[op] += config.sigma_improving as u64;
+                scores[op] += SIGMA_IMPROVING;
             } else if delta < 0.0 {
-                scores[op] += config.sigma_accepted as u64;
+                scores[op] += SIGMA_ACCEPTED;
             }
         } else {
             // Exact undo: remove what repair added, restore what the
@@ -227,13 +213,12 @@ where
                 state.insert(graph, v, u, sim);
             }
         }
-        temp *= cooling;
         observe(it, &state);
-        if config.segment > 0 && (it + 1) % config.segment as u64 == 0 {
+        if (it + 1) % SEGMENT == 0 {
             for i in 0..OPERATORS.len() {
                 if calls[i] > 0 {
                     let reward = scores[i] as f64 / calls[i] as f64;
-                    weights[i] = ((1.0 - reaction) * weights[i] + reaction * reward).max(1e-3);
+                    weights[i] = ((1.0 - REACTION) * weights[i] + REACTION * reward).max(1e-3);
                 }
                 scores[i] = 0;
                 calls[i] = 0;
@@ -355,7 +340,6 @@ mod tests {
             seed: 11,
             alns: AlnsConfig {
                 max_iterations: 500,
-                ..AlnsConfig::default()
             },
             ..SolveParams::default()
         };

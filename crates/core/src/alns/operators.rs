@@ -24,7 +24,6 @@
 //! destroyed region's degree, not the instance.
 
 use super::state::AlnsState;
-use super::AlnsConfig;
 use crate::engine::CandidateGraph;
 use crate::model::ids::{EventId, UserId};
 use rand::rngs::StdRng;
@@ -38,6 +37,9 @@ pub(crate) type Move = (EventId, UserId, f64);
 /// How many entries of a freed event's similarity-sorted stream the
 /// conflict-cluster operator inspects for blocking assignments.
 const CLUSTER_WIDTH: usize = 16;
+
+/// Fraction of matched pairs (‰) each destroy call evicts.
+const DESTROY_PERMILLE: usize = 60;
 
 /// The destroy operator family, in roulette-slot order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +78,9 @@ impl DestroyOp {
         state: &mut AlnsState,
         graph: &CandidateGraph,
         rng: &mut StdRng,
-        config: &AlnsConfig,
         evicted: &mut Vec<Move>,
     ) {
-        let quota = destroy_quota(state.len(), config);
+        let quota = destroy_quota(state.len());
         match self {
             DestroyOp::RandomEvents => random_events(state, graph, rng, quota, evicted),
             DestroyOp::WorstPairs => worst_pairs(state, graph, quota, evicted),
@@ -88,10 +89,10 @@ impl DestroyOp {
     }
 }
 
-/// Pairs to evict per destroy call: `destroy_permille` of the matched
-/// pairs, at least one.
-fn destroy_quota(pairs: usize, config: &AlnsConfig) -> usize {
-    ((pairs * config.destroy_permille as usize) / 1000).max(1)
+/// Pairs to evict per destroy call: [`DESTROY_PERMILLE`] ‰ of the
+/// matched pairs, at least one.
+fn destroy_quota(pairs: usize) -> usize {
+    ((pairs * DESTROY_PERMILLE) / 1000).max(1)
 }
 
 fn random_events(
@@ -352,9 +353,8 @@ mod tests {
         for op in OPERATORS {
             let (inst, graph, mut state) = seeded_state();
             let mut rng = StdRng::seed_from_u64(7);
-            let config = AlnsConfig::default();
             let mut evicted = Vec::new();
-            op.apply(&mut state, &graph, &mut rng, &config, &mut evicted);
+            op.apply(&mut state, &graph, &mut rng, &mut evicted);
             assert!(!evicted.is_empty(), "{} evicted nothing", op.name());
             assert!(
                 state.arrangement().validate(&inst).is_empty(),
@@ -394,13 +394,7 @@ mod tests {
         let before = state.objective();
         let mut rng = StdRng::seed_from_u64(3);
         let mut evicted = Vec::new();
-        DestroyOp::RandomEvents.apply(
-            &mut state,
-            &graph,
-            &mut rng,
-            &AlnsConfig::default(),
-            &mut evicted,
-        );
+        DestroyOp::RandomEvents.apply(&mut state, &graph, &mut rng, &mut evicted);
         let mut inserted = Vec::new();
         repair(&mut state, &graph, &evicted, &mut inserted, &mut rng, 0.25);
         // Reject: undo the move exactly.

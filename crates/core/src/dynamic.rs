@@ -26,6 +26,14 @@
 //! re-runs a budgeted [`SolverPipeline`] when the configured ratio is
 //! exceeded.
 //!
+//! **Users arriving.** A sign-up the instance has never seen is
+//! [`Mutation::AddUser`]. A known population arriving in order is an
+//! arranger over a copy of the instance whose user capacities are all
+//! 0, with one [`Mutation::SetCapacity`] `{ side: User, id, capacity }`
+//! per arrival: the repair hands the arriving user their best feasible
+//! events by similarity, in the same order as above, and user ids stay
+//! those of the original instance.
+//!
 //! **Determinism-from-log.** Eviction order, tie-breaks, and the repair
 //! heap are all totally ordered, and nothing consults wall-clock time or
 //! thread count, so replaying the same mutation log over the same base
@@ -648,8 +656,7 @@ impl IncrementalArranger {
 
     /// Best-first localized repair: re-offer freed capacity to the
     /// affected frontier. Each affected node contributes its
-    /// [`NeighborOracle`] stream — the pruned candidate path shared with
-    /// [`crate::algorithms::OnlineArranger`] — and candidates are added
+    /// [`NeighborOracle`] stream and candidates are added
     /// greedily in (sim desc, event asc, user asc) order, exactly
     /// Greedy-GEACC's discipline restricted to the frontier. Add-only:
     /// surviving pairs are never disturbed. Returns pairs added.
@@ -912,6 +919,25 @@ mod tests {
         assert_eq!(report.reassigned, 1);
         assert!(a.arrangement().contains(EventId(0), UserId(1)));
         feasible(&a);
+    }
+
+    #[test]
+    fn an_emptied_arrangement_reports_positive_zero() {
+        let mut a = arranger();
+        for event in 0..3 {
+            a.apply(Mutation::CloseEvent {
+                event: EventId(event),
+            })
+            .unwrap();
+        }
+        assert!(a.arrangement().is_empty());
+        // A sum over no pairs is +0.0, the same bits (and wire bytes) a
+        // fresh empty arrangement carries.
+        assert_eq!(a.max_sum().to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            serde_json::to_string(a.arrangement()).unwrap(),
+            serde_json::to_string(&Arrangement::empty_for(a.instance())).unwrap()
+        );
     }
 
     #[test]

@@ -1,72 +1,57 @@
-//! The [`Solver`] trait: one budgeted interface over every algorithm.
+//! The engine's one dispatch path: [`solve_on`] runs any [`Algorithm`]
+//! over a prebuilt [`CandidateGraph`] under a [`BudgetMeter`].
 //!
-//! Each of the paper's algorithms (plus the extensions) implements
-//! `solve(&CandidateGraph, &SolveParams, &BudgetMeter) -> Outcome`, so
-//! callers — the pipeline, the CLI, the bench harness, the server —
+//! Callers — the pipeline, the CLI, the bench harness, the server —
 //! dispatch uniformly instead of choosing between plain and budgeted
 //! free functions. The meter *is* the budget: pass
 //! [`BudgetMeter::unlimited`] for a classic run-to-completion solve
 //! (bit-identical to the historical meterless entry points), or a real
 //! budget for an anytime solve. Cancellation travels inside the meter
-//! ([`BudgetMeter::with_cancel`]), so the trait needs no separate token
+//! ([`BudgetMeter::with_cancel`]), so dispatch needs no separate token
 //! argument.
 //!
 //! Status mapping is uniform and honest: a completed exact solver
-//! reports [`SolveStatus::Optimal`], a completed heuristic
-//! [`Provenance::Completed`], and any budget stop
-//! [`Provenance::Incumbent`] with the reason. [`ExactDpSolver`] is
+//! (Prune-GEACC, Exhaustive, Exact-DP) reports [`SolveStatus::Optimal`],
+//! a completed heuristic [`Provenance::Completed`], and any budget stop
+//! [`Provenance::Incumbent`] with the reason. Exact-DP is
 //! all-or-nothing — an oversized instance panics (with the same message
 //! the legacy dispatcher used), which the pipeline's `catch_unwind`
 //! turns into a degradation; dispatchers that want a clean error
 //! pre-check with [`dp_state_space`][crate::algorithms::dp::dp_state_space].
 
 use crate::algorithms::{
-    exact_dp, greedy_on, mincostflow_on, prune_on, random_u, random_v, McfConfig, PruneConfig,
-    SearchStats,
+    exact_dp, greedy_on, mincostflow_on, prune_on, random_u, random_v, Algorithm, McfConfig,
+    PruneConfig, SearchStats,
 };
 use crate::alns::{alns_on, AlnsConfig};
+use crate::engine::stats::EngineStats;
 use crate::engine::CandidateGraph;
 use crate::model::arrangement::Arrangement;
 use crate::parallel::Threads;
 use crate::runtime::budget::{BudgetMeter, StopReason};
 use crate::runtime::outcome::{Outcome, Provenance, SolveStatus};
-use crate::runtime::SolveError;
+use crate::Instance;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// What a solver can promise, for dispatchers choosing among them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverCaps {
-    /// A completed run carries an optimality certificate.
-    pub exact: bool,
-    /// The solver polls the meter cooperatively and can return a
-    /// feasible incumbent mid-run. Solvers without this flag run in one
-    /// shot and only observe the meter's latched stop state.
-    pub budget_aware: bool,
-    /// The solver is cheap and deterministic enough to seed incremental
-    /// maintenance ([`IncrementalArranger`][crate::IncrementalArranger]
-    /// uses the solver with this capability for its initial state).
-    pub incremental_seed: bool,
-}
+use std::time::Instant;
 
 /// Per-dispatch knobs shared by every solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveParams {
     /// Worker budget for solvers with parallel paths (the exact search,
-    /// and graph construction in [`solve_instance`][crate::engine::solve_instance]).
-    /// Results are bit-identical at every setting.
+    /// and graph construction in [`solve_instance`]). Results are
+    /// bit-identical at every setting.
     pub threads: Threads,
-    /// Seed for the randomized baselines; ignored by the deterministic
-    /// solvers. Engine dispatch overrides this with the seed carried in
-    /// [`Algorithm::RandomV`][crate::algorithms::Algorithm::RandomV] /
-    /// [`RandomU`][crate::algorithms::Algorithm::RandomU] when present.
+    /// Seed of [`refine_on`]'s ALNS run. [`solve_on`] ignores it and
+    /// uses the seed carried in [`Algorithm::RandomV`],
+    /// [`RandomU`][Algorithm::RandomU] or [`Alns`][Algorithm::Alns].
     pub seed: u64,
-    /// MinCostFlow-GEACC knobs (Δ-sweep early stop, exact repair, SSP
-    /// heap choice); ignored by every other solver. The default is the
-    /// paper's Algorithm 1 with the fast radix-heap frontier.
+    /// MinCostFlow-GEACC knobs (Δ-sweep early stop, SSP heap choice);
+    /// ignored by every other solver. The default is the paper's
+    /// Algorithm 1 with the fast radix-heap frontier.
     pub mcf: McfConfig,
-    /// ALNS-GEACC knobs (destroy intensity, weight adaptation, cooling
-    /// schedule — see [`AlnsConfig`]); ignored by every other solver.
+    /// ALNS-GEACC's iteration cap (see [`AlnsConfig`]); ignored by
+    /// every other solver.
     pub alns: AlnsConfig,
 }
 
@@ -79,25 +64,6 @@ impl Default for SolveParams {
             alns: AlnsConfig::default(),
         }
     }
-}
-
-/// One arrangement algorithm behind the uniform budgeted interface.
-pub trait Solver: Send + Sync {
-    /// The paper's display name (`"Greedy-GEACC"`, `"Prune-GEACC"`, …).
-    fn name(&self) -> &'static str;
-
-    /// The stage key used by fault plans, pipeline reporting, and the
-    /// registry (`"greedy"`, `"prune"`, `"exact-dp"`, …).
-    fn stage(&self) -> &'static str;
-
-    /// What this solver promises.
-    fn capabilities(&self) -> SolverCaps;
-
-    /// Run over a prebuilt candidate graph under `meter`. Always
-    /// returns a feasible arrangement (empty in the worst case); the
-    /// outcome's status says whether it is optimal, complete, or a
-    /// budget-stopped incumbent.
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome;
 }
 
 /// Assemble an [`Outcome`] from a solver's raw pieces with the uniform
@@ -124,256 +90,126 @@ fn outcome(
     }
 }
 
-/// An [`Outcome`] for a solver that rejected the instance outright: an
-/// empty (trivially feasible) arrangement with
-/// [`SolveStatus::Failed`]. The pipeline treats this stage as failed
-/// and degrades to its fallback chain.
-fn failed(graph: &CandidateGraph, err: SolveError, meter: &BudgetMeter) -> Outcome {
-    Outcome {
-        arrangement: Arrangement::empty_for(graph.instance()),
-        status: SolveStatus::Failed(err),
-        nodes: meter.nodes(),
-        elapsed: meter.elapsed(),
-        search: None,
-        alns: None,
-    }
+/// Prune-GEACC's branch-and-bound under `config` (Exhaustive is the
+/// same search with pruning and seeding off).
+fn exact_search(graph: &CandidateGraph, config: PruneConfig, meter: &BudgetMeter) -> Outcome {
+    let budgeted = prune_on(graph, config, Some(meter));
+    outcome(
+        budgeted.result.arrangement,
+        budgeted.stopped,
+        true,
+        meter,
+        Some(budgeted.result.stats),
+    )
 }
 
-/// Greedy-GEACC (`1/(1 + max c_u)`-approximation) over the graph's
-/// sorted rows and columns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedySolver;
-
-impl Solver for GreedySolver {
-    fn name(&self) -> &'static str {
-        "Greedy-GEACC"
-    }
-    fn stage(&self) -> &'static str {
-        "greedy"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: false,
-            budget_aware: true,
-            incremental_seed: true,
+/// The engine's single dispatch point: run `algorithm` over a prebuilt
+/// graph under `meter`, recording the cost in [`EngineStats`]. Always
+/// returns a feasible arrangement (empty in the worst case); the
+/// outcome's status says whether it is optimal, complete, a
+/// budget-stopped incumbent, or [`SolveStatus::Failed`] (MinCostFlow's
+/// structured rejection of a pathological instance, which the pipeline
+/// degrades past).
+pub fn solve_on(
+    graph: &CandidateGraph,
+    algorithm: Algorithm,
+    params: &SolveParams,
+    meter: &BudgetMeter,
+) -> Outcome {
+    let start = Instant::now();
+    let solved = match algorithm {
+        Algorithm::Greedy => {
+            let (arrangement, stopped) = greedy_on(graph, Some(meter));
+            outcome(arrangement, stopped, false, meter, None)
         }
-    }
-    fn solve(&self, graph: &CandidateGraph, _params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let (arrangement, stopped) = greedy_on(graph, Some(meter));
-        outcome(arrangement, stopped, false, meter, None)
-    }
-}
-
-/// MinCostFlow-GEACC (`1/max c_u`-approximation): min-cost-flow
-/// relaxation plus conflict repair.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinCostFlowSolver;
-
-impl Solver for MinCostFlowSolver {
-    fn name(&self) -> &'static str {
-        "MinCostFlow-GEACC"
-    }
-    fn stage(&self) -> &'static str {
-        "mincostflow"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: false,
-            budget_aware: true,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        match mincostflow_on(graph, params.mcf, Some(meter)) {
+        Algorithm::MinCostFlow => match mincostflow_on(graph, params.mcf, Some(meter)) {
             Ok((result, stopped)) => outcome(result.arrangement, stopped, false, meter, None),
-            Err(err) => failed(graph, err, meter),
-        }
-    }
-}
-
-/// Prune-GEACC: exact branch-and-bound with the Lemma 6 bound and a
-/// greedy-seeded incumbent.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PruneSolver;
-
-impl Solver for PruneSolver {
-    fn name(&self) -> &'static str {
-        "Prune-GEACC"
-    }
-    fn stage(&self) -> &'static str {
-        "prune"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: true,
-            budget_aware: true,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let budgeted = prune_on(
+            // A structured rejection: an empty (trivially feasible)
+            // arrangement, which the pipeline degrades past.
+            Err(err) => {
+                let empty = Arrangement::empty_for(graph.instance());
+                Outcome {
+                    status: SolveStatus::Failed(err),
+                    ..outcome(empty, None, false, meter, None)
+                }
+            }
+        },
+        Algorithm::Prune => exact_search(
             graph,
             PruneConfig {
                 threads: params.threads,
                 ..PruneConfig::default()
             },
-            Some(meter),
-        );
-        outcome(
-            budgeted.result.arrangement,
-            budgeted.stopped,
-            true,
             meter,
-            Some(budgeted.result.stats),
-        )
-    }
-}
-
-/// The paper's exhaustive-search comparator: the same enumeration with
-/// pruning and seeding disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExhaustiveSolver;
-
-impl Solver for ExhaustiveSolver {
-    fn name(&self) -> &'static str {
-        "Exhaustive"
-    }
-    fn stage(&self) -> &'static str {
-        "exhaustive"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: true,
-            budget_aware: true,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let budgeted = prune_on(
+        ),
+        Algorithm::Exhaustive => exact_search(
             graph,
             PruneConfig {
                 enable_pruning: false,
                 greedy_seed: false,
                 threads: params.threads,
             },
-            Some(meter),
-        );
-        outcome(
-            budgeted.result.arrangement,
-            budgeted.stopped,
-            true,
             meter,
-            Some(budgeted.result.stats),
-        )
+        ),
+        Algorithm::ExactDp => {
+            let arrangement = exact_dp(graph.instance())
+                .expect("instance too large for the DP; use prune or an approximation");
+            outcome(arrangement, meter.stop_reason(), true, meter, None)
+        }
+        Algorithm::RandomV { seed } => {
+            let arrangement = random_v(graph.instance(), &mut StdRng::seed_from_u64(seed));
+            outcome(arrangement, meter.stop_reason(), false, meter, None)
+        }
+        Algorithm::RandomU { seed } => {
+            let arrangement = random_u(graph.instance(), &mut StdRng::seed_from_u64(seed));
+            outcome(arrangement, meter.stop_reason(), false, meter, None)
+        }
+        Algorithm::Alns { seed } => {
+            let params = SolveParams { seed, ..*params };
+            let (arrangement, stopped, stats) = alns_on(graph, &params, meter, None);
+            Outcome {
+                alns: Some(stats),
+                ..outcome(arrangement, stopped, false, meter, None)
+            }
+        }
+    };
+    EngineStats::record(algorithm, start.elapsed());
+    solved
+}
+
+/// Warm-started ALNS refinement: run ALNS-GEACC with `params.seed`
+/// from `warm` instead of a fresh greedy seed, recording the dispatch
+/// in [`EngineStats`] like any other engine call. This is how
+/// [`SolverPipeline`][crate::runtime::SolverPipeline] turns a
+/// budget-stopped exact incumbent into a better one, and how
+/// `geacc improve` improves a given arrangement. An empty `warm` is
+/// seeded from Greedy-GEACC, as a cold run is.
+pub fn refine_on(
+    graph: &CandidateGraph,
+    params: &SolveParams,
+    meter: &BudgetMeter,
+    warm: &Arrangement,
+) -> Outcome {
+    let algorithm = Algorithm::Alns { seed: params.seed };
+    let start = Instant::now();
+    let (arrangement, stopped, stats) = alns_on(graph, params, meter, Some(warm));
+    EngineStats::record(algorithm, start.elapsed());
+    Outcome {
+        alns: Some(stats),
+        ..outcome(arrangement, stopped, false, meter, None)
     }
 }
 
-/// Capacity-vector exact DP (extension): deterministic, exponential in
-/// `|V|` only. All-or-nothing — oversized instances panic (pipeline
-/// stages catch this as a degradation; pre-check with
-/// [`dp_state_space`][crate::algorithms::dp::dp_state_space] for a
-/// clean error).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactDpSolver;
-
-impl Solver for ExactDpSolver {
-    fn name(&self) -> &'static str {
-        "Exact-DP"
-    }
-    fn stage(&self) -> &'static str {
-        "exact-dp"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: true,
-            budget_aware: false,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, _params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let arrangement = exact_dp(graph.instance())
-            .expect("instance too large for the DP; use prune or an approximation");
-        outcome(arrangement, meter.stop_reason(), true, meter, None)
-    }
-}
-
-/// Random-V baseline: events in order, each pair admitted with
-/// probability `c_v / |U|` when feasible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomVSolver;
-
-impl Solver for RandomVSolver {
-    fn name(&self) -> &'static str {
-        "Random-V"
-    }
-    fn stage(&self) -> &'static str {
-        "random-v"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: false,
-            budget_aware: false,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let arrangement = random_v(graph.instance(), &mut StdRng::seed_from_u64(params.seed));
-        outcome(arrangement, meter.stop_reason(), false, meter, None)
-    }
-}
-
-/// Random-U baseline: users in order, each pair admitted with
-/// probability `c_u / |V|` when feasible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomUSolver;
-
-impl Solver for RandomUSolver {
-    fn name(&self) -> &'static str {
-        "Random-U"
-    }
-    fn stage(&self) -> &'static str {
-        "random-u"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: false,
-            budget_aware: false,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let arrangement = random_u(graph.instance(), &mut StdRng::seed_from_u64(params.seed));
-        outcome(arrangement, meter.stop_reason(), false, meter, None)
-    }
-}
-
-/// ALNS-GEACC (extension): seeded destroy/repair large-neighborhood
-/// search — the anytime quality closer for sizes where exact search is
-/// hopeless. Deterministic per (instance, seed, node budget); see
-/// [`crate::alns`] for the operators and acceptance schedule.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlnsSolver;
-
-impl Solver for AlnsSolver {
-    fn name(&self) -> &'static str {
-        "ALNS-GEACC"
-    }
-    fn stage(&self) -> &'static str {
-        "alns"
-    }
-    fn capabilities(&self) -> SolverCaps {
-        SolverCaps {
-            exact: false,
-            budget_aware: true,
-            incremental_seed: false,
-        }
-    }
-    fn solve(&self, graph: &CandidateGraph, params: &SolveParams, meter: &BudgetMeter) -> Outcome {
-        let (arrangement, stopped, stats) = alns_on(graph, params, meter, None);
-        let mut out = outcome(arrangement, stopped, false, meter, None);
-        out.alns = Some(stats);
-        out
-    }
+/// Convenience for callers without a prebuilt graph: build the
+/// candidate graph (with `params.threads` workers) and dispatch.
+pub fn solve_instance(
+    inst: &Instance,
+    algorithm: Algorithm,
+    params: &SolveParams,
+    meter: &BudgetMeter,
+) -> Outcome {
+    let graph = CandidateGraph::build(inst, params.threads);
+    solve_on(&graph, algorithm, params, meter)
 }
 
 #[cfg(test)]
@@ -386,31 +222,24 @@ mod tests {
         let inst = toy::table1_instance();
         let graph = CandidateGraph::build(&inst, Threads::single());
         let params = SolveParams::default();
-        let solvers: [&dyn Solver; 8] = [
-            &GreedySolver,
-            &MinCostFlowSolver,
-            &PruneSolver,
-            &ExhaustiveSolver,
-            &ExactDpSolver,
-            &RandomVSolver,
-            &RandomUSolver,
-            &AlnsSolver,
-        ];
-        for solver in solvers {
+        for algo in Algorithm::ALL {
             let meter = BudgetMeter::unlimited();
-            let out = solver.solve(&graph, &params, &meter);
+            let out = solve_on(&graph, algo, &params, &meter);
             assert!(
                 out.arrangement.validate(&inst).is_empty(),
                 "{} infeasible",
-                solver.name()
+                algo.name()
             );
-            assert!(out.status.is_complete(), "{}", solver.name());
-            let exact = solver.capabilities().exact;
+            assert!(out.status.is_complete(), "{}", algo.name());
+            let exact = matches!(
+                algo,
+                Algorithm::Prune | Algorithm::Exhaustive | Algorithm::ExactDp
+            );
             assert_eq!(
                 out.status == SolveStatus::Optimal,
                 exact,
-                "{} status/capability mismatch",
-                solver.name()
+                "{} status/exactness mismatch",
+                algo.name()
             );
         }
     }
@@ -421,12 +250,12 @@ mod tests {
         let graph = CandidateGraph::build(&inst, Threads::single());
         let params = SolveParams::default();
         let meter = BudgetMeter::unlimited();
-        let pruned = PruneSolver.solve(&graph, &params, &meter);
+        let pruned = solve_on(&graph, Algorithm::Prune, &params, &meter);
         assert_eq!(pruned.status, SolveStatus::Optimal);
         assert!(pruned.search.is_some());
         assert!((pruned.arrangement.max_sum() - toy::OPTIMAL_MAX_SUM).abs() < 1e-9);
         let meter = BudgetMeter::unlimited();
-        let greedy = GreedySolver.solve(&graph, &params, &meter);
+        let greedy = solve_on(&graph, Algorithm::Greedy, &params, &meter);
         assert!(greedy.search.is_none());
     }
 
@@ -436,7 +265,7 @@ mod tests {
         let inst = toy::table1_instance();
         let graph = CandidateGraph::build(&inst, Threads::single());
         let meter = BudgetMeter::new(&SolveBudget::from_max_nodes(0));
-        let out = PruneSolver.solve(&graph, &SolveParams::default(), &meter);
+        let out = solve_on(&graph, Algorithm::Prune, &SolveParams::default(), &meter);
         assert_eq!(
             out.status.stop_reason(),
             Some(StopReason::NodeBudget),
@@ -447,23 +276,99 @@ mod tests {
     }
 
     #[test]
-    fn random_solvers_use_the_params_seed() {
+    fn solve_instance_dispatches_every_algorithm_feasibly() {
+        let inst = toy::table1_instance();
+        for algo in Algorithm::ALL {
+            let out = solve_instance(
+                &inst,
+                algo,
+                &SolveParams::default(),
+                &BudgetMeter::unlimited(),
+            );
+            assert!(
+                out.arrangement.validate(&inst).is_empty(),
+                "{} produced an infeasible arrangement",
+                algo.name()
+            );
+            assert!(out.status.is_complete(), "{}", algo.name());
+        }
+    }
+
+    #[test]
+    fn dispatch_records_engine_stats() {
         let inst = toy::table1_instance();
         let graph = CandidateGraph::build(&inst, Threads::single());
-        let run = |seed| {
-            RandomVSolver
-                .solve(
-                    &graph,
-                    &SolveParams {
-                        seed,
-                        ..SolveParams::default()
-                    },
-                    &BudgetMeter::unlimited(),
-                )
-                .arrangement
+        let calls = || {
+            EngineStats::snapshot()
+                .iter()
+                .find(|t| t.stage == "mincostflow")
+                .unwrap()
+                .calls
         };
-        assert_eq!(run(7), run(7));
-        let legacy = random_v(&inst, &mut StdRng::seed_from_u64(7));
-        assert_eq!(run(7), legacy);
+        let calls_before = calls();
+        let out = solve_on(
+            &graph,
+            Algorithm::MinCostFlow,
+            &SolveParams::default(),
+            &BudgetMeter::unlimited(),
+        );
+        assert_eq!(out.status, SolveStatus::Feasible(Provenance::Completed));
+        assert!(calls() > calls_before);
+    }
+
+    #[test]
+    fn refine_on_never_loses_to_its_warm_start() {
+        let inst = toy::table1_instance();
+        let graph = CandidateGraph::build(&inst, Threads::single());
+        let warm = greedy_on(&graph, None).0;
+        let warm_sum = warm.max_sum();
+        let out = refine_on(
+            &graph,
+            &SolveParams::default(),
+            &BudgetMeter::unlimited(),
+            &warm,
+        );
+        assert!(out.arrangement.validate(&inst).is_empty());
+        assert!(out.arrangement.max_sum() >= warm_sum - 1e-9);
+        assert!(out.alns.is_some());
+        assert!(out.status.is_complete());
+    }
+
+    #[test]
+    fn refine_on_fills_an_empty_arrangement_from_greedy() {
+        let inst = toy::table1_instance();
+        let graph = CandidateGraph::build(&inst, Threads::single());
+        let greedy_sum = greedy_on(&graph, None).0.max_sum();
+        assert!((greedy_sum - 4.28).abs() < 0.005, "toy greedy {greedy_sum}");
+        let out = refine_on(
+            &graph,
+            &SolveParams::default(),
+            &BudgetMeter::unlimited(),
+            &Arrangement::empty_for(&inst),
+        );
+        assert!(out.arrangement.validate(&inst).is_empty());
+        assert!(
+            out.arrangement.max_sum() >= greedy_sum - 1e-9,
+            "refined {} < greedy {greedy_sum}",
+            out.arrangement.max_sum()
+        );
+    }
+
+    #[test]
+    fn algorithm_seed_overrides_params_seed() {
+        let inst = toy::table1_instance();
+        let graph = CandidateGraph::build(&inst, Threads::single());
+        let params = SolveParams {
+            seed: 1234,
+            ..SolveParams::default()
+        };
+        let via_algo = solve_on(
+            &graph,
+            Algorithm::RandomV { seed: 7 },
+            &params,
+            &BudgetMeter::unlimited(),
+        );
+        let direct = random_v(&inst, &mut StdRng::seed_from_u64(7));
+        assert_eq!(via_algo.arrangement, direct);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every [`solve_on`][crate::engine::solve_on] call records its solver
 //! and wall-clock cost into a fixed set of atomic counters — one slot
-//! per registered algorithm — so any surface (the server's `stats` op,
+//! per [`Algorithm`] — so any surface (the server's `stats` op,
 //! the benchmark, tests) can ask "how many solves ran through each
 //! solver, and how long did they take?" without threading a collector
 //! through every call site. Recording is two relaxed atomic adds; the
@@ -13,42 +13,24 @@ use crate::algorithms::Algorithm;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of registry slots (one per [`Algorithm`] variant).
-pub const NUM_SOLVER_SLOTS: usize = 8;
-
-/// Stage keys, indexed by slot — the same strings
-/// [`Solver::stage`][crate::engine::Solver::stage] returns.
-const STAGES: [&str; NUM_SOLVER_SLOTS] = [
-    "greedy",
-    "mincostflow",
-    "prune",
-    "exhaustive",
-    "exact-dp",
-    "random-v",
-    "random-u",
-    "alns",
-];
+/// One slot per [`Algorithm::ALL`] entry.
+const SLOTS: usize = Algorithm::ALL.len();
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static CALLS: [AtomicU64; NUM_SOLVER_SLOTS] = [ZERO; NUM_SOLVER_SLOTS];
-static NANOS: [AtomicU64; NUM_SOLVER_SLOTS] = [ZERO; NUM_SOLVER_SLOTS];
-static IMPROVEMENTS: [AtomicU64; NUM_SOLVER_SLOTS] = [ZERO; NUM_SOLVER_SLOTS];
-static BEST: [AtomicU64; NUM_SOLVER_SLOTS] = [ZERO; NUM_SOLVER_SLOTS];
+static CALLS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+static NANOS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+static IMPROVEMENTS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+static BEST: [AtomicU64; SLOTS] = [ZERO; SLOTS];
 
-/// The registry slot an algorithm records under (random seeds collapse
-/// into one slot per baseline).
-pub(crate) fn slot(algorithm: Algorithm) -> usize {
-    match algorithm {
-        Algorithm::Greedy => 0,
-        Algorithm::MinCostFlow => 1,
-        Algorithm::Prune => 2,
-        Algorithm::Exhaustive => 3,
-        Algorithm::ExactDp => 4,
-        Algorithm::RandomV { .. } => 5,
-        Algorithm::RandomU { .. } => 6,
-        Algorithm::Alns { .. } => 7,
-    }
+/// The slot an algorithm records under: its position in
+/// [`Algorithm::ALL`] (random seeds collapse into one slot per
+/// baseline).
+fn slot(algorithm: Algorithm) -> usize {
+    Algorithm::ALL
+        .iter()
+        .position(|a| std::mem::discriminant(a) == std::mem::discriminant(&algorithm))
+        .expect("Algorithm::ALL lists every variant")
 }
 
 /// One solver's accumulated dispatch statistics.
@@ -110,11 +92,13 @@ impl EngineStats {
         IMPROVEMENTS[i].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A snapshot of every slot, in registry order.
+    /// A snapshot of every slot, in [`Algorithm::ALL`] order.
     pub fn snapshot() -> Vec<SolverTiming> {
-        (0..NUM_SOLVER_SLOTS)
-            .map(|i| SolverTiming {
-                stage: STAGES[i],
+        Algorithm::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, algorithm)| SolverTiming {
+                stage: algorithm.stage(),
                 calls: CALLS[i].load(Ordering::Relaxed),
                 total_nanos: NANOS[i].load(Ordering::Relaxed),
                 improvements: IMPROVEMENTS[i].load(Ordering::Relaxed),
@@ -196,7 +180,7 @@ mod tests {
             Algorithm::RandomU { seed: 2 },
             Algorithm::Alns { seed: 3 },
         ];
-        let mut seen = [false; NUM_SOLVER_SLOTS];
+        let mut seen = [false; SLOTS];
         for algo in algos {
             let i = slot(algo);
             assert!(!seen[i], "slot {i} reused");

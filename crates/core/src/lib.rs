@@ -26,10 +26,12 @@
 //!
 //! Extensions beyond the paper (each marked as such in its module docs):
 //! [`algorithms::exact_dp`] (deterministic exact DP, exponential in `|V|`
-//! only), [`algorithms::improve`] (local-search post-optimization),
-//! [`algorithms::online`] (streaming arrivals), and
-//! [`algorithms::bounds`] (optimality-gap certificates). The
-//! NP-hardness reduction of Theorem 1 is executable in [`reduction`].
+//! only), [`alns`] (anytime large-neighborhood search, which also
+//! improves a given arrangement through [`engine::refine_on`]),
+//! [`dynamic`] (a standing arrangement under mutations — users arriving
+//! one by one included), and [`algorithms::bounds`] (optimality-gap
+//! certificates). The NP-hardness reduction of Theorem 1 is executable
+//! in [`reduction`].
 //!
 //! ## Quick start
 //!
@@ -70,9 +72,7 @@ pub use alns::{alns_on, AlnsConfig, AlnsState, AlnsStats};
 pub use dynamic::{
     DynamicConfig, IncrementalArranger, Mutation, MutationError, RepairReport, Side,
 };
-pub use engine::{
-    CandidateGraph, EngineStats, GraphFlats, SolveParams, Solver, SolverCaps, SolverRegistry,
-};
+pub use engine::{CandidateGraph, EngineStats, GraphFlats, SolveParams};
 pub use loader::LoadError;
 pub use model::arrangement::{Arrangement, Violation};
 pub use model::conflict::{ConflictGraph, ConflictPairOutOfRange};

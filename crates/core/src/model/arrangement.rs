@@ -231,9 +231,13 @@ impl Arrangement {
     }
 
     /// Recompute `MaxSum` from scratch against `instance` (diagnostic;
-    /// the incremental value is kept exact by construction).
+    /// the incremental value is kept exact by construction). The fold
+    /// starts at `+0.0`, as [`Arrangement::empty`] does: `f64`'s `Sum`
+    /// starts at `-0.0`, which an emptied arrangement would report.
     pub fn recompute_max_sum(&self, instance: &Instance) -> f64 {
-        self.pairs().map(|(v, u)| instance.similarity(v, u)).sum()
+        self.pairs()
+            .map(|(v, u)| instance.similarity(v, u))
+            .fold(0.0, |sum, sim| sum + sim)
     }
 
     /// Recompute and store `MaxSum` from the standing pairs, clearing

@@ -33,7 +33,7 @@
 //! [`Arrangement::validate`][crate::Arrangement::validate].
 
 use crate::algorithms::Algorithm;
-use crate::engine::{self, CandidateGraph, SolveParams, SolverRegistry};
+use crate::engine::{self, CandidateGraph, SolveParams};
 use crate::model::arrangement::Arrangement;
 use crate::parallel::Threads;
 use crate::runtime::budget::{BudgetMeter, CancelToken, SolveBudget};
@@ -180,7 +180,6 @@ impl SolverPipeline {
     pub fn run_on(&self, graph: &CandidateGraph) -> Outcome {
         let start = Instant::now();
         let mut nodes = 0u64;
-        let registry = SolverRegistry::global();
         let params = SolveParams {
             threads: self.threads,
             seed: self.seed,
@@ -189,7 +188,7 @@ impl SolverPipeline {
 
         // Stage 1: the primary algorithm under the main budget.
         let meter = self.meter_for(&self.budget);
-        let solved = self.run_stage(graph, registry.solver(self.primary).stage(), || {
+        let solved = self.run_stage(graph, self.primary.stage(), || {
             engine::solve_on(graph, self.primary, &params, &meter)
         });
         nodes += meter.nodes();

@@ -4,9 +4,13 @@
 //! small instances, against which the approximation ratios (Theorems 2–3)
 //! and the relaxation optimality (Lemma 1 / Corollary 1) are checked.
 
-use geacc_core::algorithms::localsearch::{improve, LocalSearchConfig};
 use geacc_core::algorithms::{exhaustive, greedy, mincostflow, prune, random_u, random_v};
-use geacc_core::{ConflictGraph, EventId, Instance, SimMatrix};
+use geacc_core::engine::{refine_on, CandidateGraph, SolveParams};
+use geacc_core::parallel::Threads;
+use geacc_core::{
+    BudgetMeter, ConflictGraph, DynamicConfig, EventId, IncrementalArranger, Instance, Mutation,
+    Side, SimMatrix, SolveBudget,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,19 +95,34 @@ proptest! {
         prop_assert!(dp.validate(&inst).is_empty());
     }
 
-    /// Online arrangement: feasible for every arrival prefix and never
-    /// above the optimum.
+    /// Users arriving one by one (an arranger over a copy with every
+    /// user capacity 0, one `SetCapacity` per arrival): feasible for
+    /// every arrival prefix, only the arriving user gains seats and no
+    /// earlier one loses any, and never above the optimum.
     #[test]
     fn online_arranger_invariants(spec in small_spec(4, 8)) {
-        use geacc_core::algorithms::online::{OnlineArranger, OnlineConfig};
         let inst = spec.build();
         let opt = prune(&inst).arrangement.max_sum();
-        let mut arranger = OnlineArranger::new(&inst, OnlineConfig::default());
+        let mut closed = inst.clone();
         for u in inst.users() {
-            arranger.arrive(u);
-            prop_assert!(arranger.arrangement().validate(&inst).is_empty());
+            closed.set_user_capacity(u, 0);
         }
-        prop_assert!(arranger.finish().max_sum() <= opt + 1e-9);
+        let mut live = IncrementalArranger::new(closed, DynamicConfig::default());
+        for u in inst.users() {
+            let before = live.arrangement().clone();
+            let report = live
+                .apply(Mutation::SetCapacity {
+                    side: Side::User,
+                    id: u.0,
+                    capacity: inst.user_capacity(u),
+                })
+                .unwrap();
+            prop_assert!(live.arrangement().validate(&inst).is_empty());
+            prop_assert_eq!(report.evicted, 0);
+            prop_assert_eq!(live.arrangement().events_of(u).len(), report.reassigned);
+            prop_assert!(before.pairs().all(|(v, w)| live.arrangement().contains(v, w)));
+        }
+        prop_assert!(live.max_sum() <= opt + 1e-9);
     }
 
     /// Theorem 3: Greedy ≥ OPT / (1 + max c_u).
@@ -161,20 +180,20 @@ proptest! {
         }
     }
 
-    /// Local search: monotone improvement, feasible, never above the
-    /// optimum, and a fixed point on its own output.
+    /// Improving a given arrangement (warm-started ALNS under a node
+    /// budget): monotone, feasible, never above the optimum.
     #[test]
     fn local_search_invariants(spec in small_spec(4, 6), seed in 0u64..50) {
         let inst = spec.build();
         let start = random_v(&inst, &mut StdRng::seed_from_u64(seed));
         let before = start.max_sum();
-        let improved = improve(&inst, start, LocalSearchConfig::default());
-        prop_assert!(improved.arrangement.max_sum() + 1e-9 >= before);
-        prop_assert!(improved.arrangement.validate(&inst).is_empty());
+        let graph = CandidateGraph::build(&inst, Threads::single());
+        let meter = BudgetMeter::new(&SolveBudget::from_max_nodes(2_000));
+        let improved = refine_on(&graph, &SolveParams::default(), &meter, &start).arrangement;
+        prop_assert!(improved.max_sum() + 1e-9 >= before);
+        prop_assert!(improved.validate(&inst).is_empty());
         let opt = prune(&inst).arrangement.max_sum();
-        prop_assert!(improved.arrangement.max_sum() <= opt + 1e-9);
-        let again = improve(&inst, improved.arrangement.clone(), LocalSearchConfig::default());
-        prop_assert_eq!(again.moves, 0);
+        prop_assert!(improved.max_sum() <= opt + 1e-9);
     }
 
     /// Baselines never beat the optimum (sanity of the whole chain).

@@ -61,7 +61,6 @@ fn params(seed: u64, iterations: u32) -> SolveParams {
         seed,
         alns: AlnsConfig {
             max_iterations: iterations,
-            ..AlnsConfig::default()
         },
         ..SolveParams::default()
     }

@@ -1,6 +1,6 @@
 //! Differential-equivalence gate for the engine refactor.
 //!
-//! Every algorithm dispatched through the [`Solver`] trait over the
+//! Every algorithm dispatched through `engine::solve_on` over the
 //! shared [`CandidateGraph`] must be **bit-identical** — arrangement
 //! and `MaxSum` bits — to the classic paper entry points, on random
 //! instances, at 1 and 4 threads. The legacy free functions were only
@@ -117,7 +117,7 @@ const ALL: [Algorithm; 8] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every solver, through the trait over a shared graph, matches the
+    /// Every solver, through `solve_on` over a shared graph, matches the
     /// legacy entry point bit-for-bit — at 1 and 4 threads, under an
     /// unlimited meter (the meterless equivalence).
     #[test]
@@ -128,7 +128,7 @@ proptest! {
             let graph = CandidateGraph::build(&inst, threads);
             // A short ALNS run keeps the 8-algorithm sweep fast; the
             // equivalence holds at any iteration count.
-            let alns = AlnsConfig { max_iterations: 200, ..AlnsConfig::default() };
+            let alns = AlnsConfig { max_iterations: 200 };
             let params = SolveParams { threads, seed: 0, alns, ..SolveParams::default() };
             for algo in ALL {
                 let out = engine::solve_on(&graph, algo, &params, &BudgetMeter::unlimited());

@@ -30,13 +30,11 @@
 //! assert!(arrangement.validate(&inst).is_empty());
 //! ```
 
-pub mod arrival;
 pub mod distributions;
 pub mod meetup;
 pub mod synthetic;
 pub mod temporal;
 
-pub use arrival::ArrivalOrder;
 pub use distributions::{AttrDistribution, CapDistribution};
 pub use meetup::{City, MeetupConfig};
 pub use synthetic::SyntheticConfig;

@@ -24,7 +24,6 @@ fn params(seed: u64) -> SolveParams {
         seed,
         alns: AlnsConfig {
             max_iterations: 2_000,
-            ..AlnsConfig::default()
         },
         ..SolveParams::default()
     }

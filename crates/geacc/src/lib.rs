@@ -29,6 +29,8 @@
 //! | thousands of events/users, want speed *and* quality | [`algorithms::greedy()`] (`1/(1+max c_u)` guarantee; in practice the best of all, per the paper's and our experiments) |
 //! | a moderate instance, want the stronger bound | [`algorithms::mincostflow()`] (`1/max c_u` guarantee) |
 //! | ≤ a few dozen pairs, need the true optimum | [`algorithms::prune()`] (exact branch-and-bound) |
+//! | an arrangement to improve | [`engine::refine_on`] (ALNS warm-started from it; `geacc improve`) |
+//! | users arriving one by one | [`core::IncrementalArranger`], one `SetCapacity` mutation per arrival (see [`core::dynamic`]) |
 //!
 //! ## Example
 //!

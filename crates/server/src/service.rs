@@ -62,8 +62,7 @@ use geacc_core::loader::{self, LoadError};
 use geacc_core::parallel::Threads;
 use geacc_core::{
     Arrangement, CandidateGraph, DynamicConfig, EngineStats, EventId, GraphFlats,
-    IncrementalArranger, Instance, Mutation, Outcome, SolveBudget, SolverPipeline, SolverRegistry,
-    UserId,
+    IncrementalArranger, Instance, Mutation, Outcome, SolveBudget, SolverPipeline, UserId,
 };
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -1211,12 +1210,11 @@ impl Service {
     /// the pre-solve state.
     fn solve(&self, body: &Value, deadline: Instant) -> Result<Value, ServiceError> {
         let seed = protocol::get_u64(body, "seed").unwrap_or(0);
-        let algorithm = SolverRegistry::global()
-            .parse(
-                protocol::get_str(body, "algorithm").unwrap_or("greedy"),
-                seed,
-            )
-            .map_err(|e| bad_request(e.to_string()))?;
+        let algorithm = Algorithm::parse(
+            protocol::get_str(body, "algorithm").unwrap_or("greedy"),
+            seed,
+        )
+        .map_err(|e| bad_request(e.to_string()))?;
         let spec = SolveSpec {
             algorithm,
             seed,
@@ -1815,7 +1813,7 @@ mod tests {
     fn solve_parses_algorithms_through_the_registry() {
         let svc = service();
         call(&svc, &toy_line()).unwrap();
-        // The registry accepts both the wire and the CLI spellings.
+        // `Algorithm::parse` accepts both the wire and the CLI spellings.
         for algo in ["exactdp", "exact-dp", "random_v", "random-v", "exhaustive"] {
             let solved = call(
                 &svc,

@@ -19,6 +19,8 @@
 #   within a 2 s deadline on the 100x1000 instance, and a 2 s ALNS run
 #   keeps at least its Greedy-GEACC seed's MaxSum on the 50x500 and
 #   100x1000 instances;
+# - every program in examples/, built in release and run once (each
+#   must exit 0; several assert feasibility);
 # - end-to-end smokes of the `geacc serve` daemon over real sockets:
 #   one session, crash recovery after kill -9, replication failover
 #   with `promote`, and unattended failover with none.
@@ -67,7 +69,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
     -p geacc-server -p geacc-bench -p geacc-cli -p geacc
 
 echo "== engine differential-equivalence gate =="
-# The refactor contract: every solver through the Solver trait is
+# The refactor contract: every algorithm through engine::solve_on is
 # bit-identical to the paper entry points, at 1 and 4 threads.
 GEACC_THREADS=1 cargo test -p geacc-core --test engine_equiv -q
 GEACC_THREADS=4 cargo test -p geacc-core --test engine_equiv -q
@@ -125,6 +127,16 @@ for size in 50x500 100x1000; do
     echo "alns anytime smoke $size: ok (greedy $GREEDY_SUM -> alns $ALNS_SUM)"
 done
 rm -rf "$SOLVE_SMOKE_DIR"
+
+echo "== examples =="
+# README lists these as quickstarts; each runs once and must exit 0.
+cargo build --release -p geacc --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    ./target/release/examples/"$name" > /dev/null \
+        || { echo "example $name failed"; exit 1; }
+    echo "example $name: ok"
+done
 
 echo "== server smoke =="
 # Boot the daemon on an ephemeral port, drive one session with bash's

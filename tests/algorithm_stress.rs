@@ -3,13 +3,14 @@
 //! generator, this test walks the full matrix once — the "does the whole
 //! product hang together" check a release would gate on.
 
-use geacc::algorithms::localsearch::{improve, LocalSearchConfig};
-use geacc::algorithms::online::{online_greedy, OnlineConfig};
 use geacc::algorithms::{exact_dp, greedy, mincostflow, random_u, random_v};
+use geacc::core::{DynamicConfig, IncrementalArranger, Mutation, Side};
 use geacc::datagen::{
     AttrDistribution, CapDistribution, City, MeetupConfig, SyntheticConfig, TemporalConfig,
 };
-use geacc::Instance;
+use geacc::engine::{refine_on, CandidateGraph, SolveParams};
+use geacc::parallel::Threads;
+use geacc::{Arrangement, BudgetMeter, Instance, SolveBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,13 +66,32 @@ fn workloads() -> Vec<(String, Instance)> {
     out
 }
 
+/// `inst`'s users arriving in id order: an arranger over a copy with
+/// every user capacity 0, one `SetCapacity` per arrival.
+fn arrivals(inst: &Instance) -> Arrangement {
+    let mut closed = inst.clone();
+    for u in inst.users() {
+        closed.set_user_capacity(u, 0);
+    }
+    let mut live = IncrementalArranger::new(closed, DynamicConfig::default());
+    for u in inst.users() {
+        live.apply(Mutation::SetCapacity {
+            side: Side::User,
+            id: u.0,
+            capacity: inst.user_capacity(u),
+        })
+        .expect("a known user");
+    }
+    live.arrangement().clone()
+}
+
 #[test]
 fn every_algorithm_on_every_workload() {
     for (name, inst) in workloads() {
         let mut rng = StdRng::seed_from_u64(7);
         let greedy_arr = greedy(&inst);
         let mcf = mincostflow(&inst);
-        let online = online_greedy(&inst, inst.users(), OnlineConfig::default());
+        let online = arrivals(&inst);
         let rv = random_v(&inst, &mut rng);
         let ru = random_u(&inst, &mut rng);
 
@@ -96,11 +116,17 @@ fn every_algorithm_on_every_workload() {
             "{name}: greedy lost to both baselines"
         );
 
-        // Local search is universally safe.
-        let ls = improve(&inst, online, LocalSearchConfig::default());
+        // ALNS refinement is universally safe.
+        let graph = CandidateGraph::build(&inst, Threads::single());
+        let meter = BudgetMeter::new(&SolveBudget::from_max_nodes(500));
+        let refined = refine_on(&graph, &SolveParams::default(), &meter, &online).arrangement;
         assert!(
-            ls.arrangement.validate(&inst).is_empty(),
-            "{name}: LS broke feasibility"
+            refined.validate(&inst).is_empty(),
+            "{name}: ALNS refinement broke feasibility"
+        );
+        assert!(
+            refined.max_sum() + 1e-9 >= online.max_sum(),
+            "{name}: ALNS refinement lost value"
         );
     }
 }
