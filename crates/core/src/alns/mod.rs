@@ -117,7 +117,10 @@ pub struct AlnsStats {
 /// destroy/repair until the meter stops it or
 /// [`AlnsConfig::max_iterations`] is reached. Returns the best
 /// arrangement found (its `MaxSum` cache exactly resynchronized), the
-/// stop reason if any, and the run's counters.
+/// stop reason if any, and the run's counters. A budget that stops the
+/// Greedy seed itself returns the finished seed — bit for bit
+/// [`greedy_on`]'s arrangement — with the stop reason and 0
+/// iterations, so ALNS never answers below its own seed.
 pub fn alns_on(
     graph: &CandidateGraph,
     params: &SolveParams,
@@ -144,7 +147,23 @@ where
         Some(w) if !w.is_empty() => w.clone(),
         // Nothing to destroy in an empty arrangement: start it from
         // Greedy-GEACC, as a cold run does.
-        _ => greedy_on(graph, Some(meter)).0,
+        _ => match greedy_on(graph, Some(meter)) {
+            (seed, None) => seed,
+            // The budget ran out inside the seed. Its ticks stay spent,
+            // but the answer is the finished seed — never less than
+            // Greedy, as the pipeline's unbudgeted Greedy fallback.
+            (_, Some(reason)) => {
+                let seed = greedy_on(graph, None).0;
+                let stats = AlnsStats {
+                    iterations: 0,
+                    improvements: 0,
+                    accepted: 0,
+                    best_max_sum: seed.max_sum(),
+                    seed: params.seed,
+                };
+                return (seed, Some(reason), stats);
+            }
+        },
     };
     let mut state = AlnsState::new(graph, seeded);
     let mut best = state.arrangement().clone();
@@ -318,6 +337,39 @@ mod tests {
         assert_eq!(stopped, Some(StopReason::NodeBudget));
         assert!(best.validate(&inst).is_empty());
         assert!(stats.iterations <= 50);
+    }
+
+    #[test]
+    fn a_budget_inside_the_seed_returns_greedy_bit_for_bit() {
+        use crate::engine::refine_on;
+        use crate::runtime::budget::SolveBudget;
+        let inst = toy::table1_instance();
+        let graph = CandidateGraph::build(&inst, Threads::single());
+        let greedy = greedy_on(&graph, None).0;
+        // One tick short of the seed's full run stops it in its last
+        // heap pop, with at least one pair still unmatched.
+        let counted = BudgetMeter::unlimited();
+        greedy_on(&graph, Some(&counted));
+        let budget = SolveBudget::from_max_nodes(counted.nodes() - 1);
+        let truncated = greedy_on(&graph, Some(&BudgetMeter::new(&budget)));
+        assert_eq!(truncated.1, Some(StopReason::NodeBudget));
+        assert!(truncated.0.len() < greedy.len());
+
+        let meter = BudgetMeter::new(&budget);
+        let (best, stopped, stats) = alns_on(&graph, &params(5), &meter, None);
+        assert_eq!(stopped, Some(StopReason::NodeBudget));
+        assert_eq!(best, greedy);
+        assert_eq!(best.max_sum().to_bits(), greedy.max_sum().to_bits());
+        assert_eq!(stats.iterations, 0);
+        assert_eq!(stats.best_max_sum.to_bits(), greedy.max_sum().to_bits());
+
+        let empty = Arrangement::empty_for(&inst);
+        let refined = refine_on(&graph, &params(5), &BudgetMeter::new(&budget), &empty);
+        assert_eq!(refined.arrangement, greedy);
+        assert_eq!(
+            refined.arrangement.max_sum().to_bits(),
+            greedy.max_sum().to_bits()
+        );
     }
 
     #[test]

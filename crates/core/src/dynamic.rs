@@ -392,6 +392,9 @@ impl IncrementalArranger {
     /// mutation reuses the cached `Arc` outright — capacities and
     /// conflicts are not part of the sim model. Bit-identical to
     /// `GraphFlats::build` of the live instance at every thread count.
+    /// Only solves need it — [`Self::rebuild`] and the serving layer's
+    /// solve pins — so one extend covers every mutation since the last
+    /// solve.
     pub fn epoch_flats(&mut self, threads: Threads) -> Arc<GraphFlats> {
         let fresh = match &self.flats {
             Some(f) if f.covers(&self.inst) => Arc::clone(f),

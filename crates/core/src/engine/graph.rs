@@ -628,7 +628,7 @@ impl GraphFlats {
     /// `sim(v, u)` as stored: the model's value for positive pairs,
     /// `0.0` for absent ones. Similarities live in `[0, 1]`, so absent
     /// means `sim <= 0` and the stored value always equals the model's
-    /// — the serving layer answers point queries from flats alone.
+    /// — bit for bit what [`Instance::similarity`] returns.
     pub fn similarity(&self, v: EventId, u: UserId) -> f64 {
         let (a, b) = (self.row_off[v.index()], self.row_off[v.index() + 1]);
         match self.row_user[a..b].binary_search(&u.0) {

@@ -48,6 +48,13 @@
 //! work. Inline read ops are not admission-controlled — they cost less
 //! than the rejection would.
 //!
+//! Framing is bounded too: a client's request line may not exceed
+//! [`MAX_LINE_BYTES`]. A longer one is answered with one `bad_request`
+//! naming the cap, and the connection is closed. The newline search
+//! resumes where the previous read left it, so an unterminated line
+//! costs one scan of its bytes, not one per read. (The replication
+//! stream's blocking line reads are not capped.)
+//!
 //! ## Shutdown
 //!
 //! The `shutdown` op raises a shared stop flag. Event loops observe it
@@ -522,12 +529,23 @@ impl ConnOut {
     }
 }
 
+/// The longest request line a client connection may send, newline
+/// excluded. It sits above the largest instance the benchmark loads
+/// (`read_zipf`'s 100,000-user file is ~37 MB), so that instance still
+/// fits in an inline `load`. A longer line, terminated or not, is
+/// answered with one `bad_request` naming this cap, and the connection
+/// is closed; so a connection never buffers much more than this.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
 /// One multiplexed connection, owned by exactly one event loop.
 struct Conn {
     stream: TcpStream,
     out: Arc<ConnOut>,
     /// Bytes read but not yet framed into a full line.
     inbuf: Vec<u8>,
+    /// How far into `inbuf` the newline search has already looked (no
+    /// newline before it), so each byte of a long line is scanned once.
+    scanned: usize,
 }
 
 impl Conn {
@@ -544,6 +562,7 @@ impl Conn {
             stream,
             out,
             inbuf: Vec::new(),
+            scanned: 0,
         })
     }
 }
@@ -716,7 +735,9 @@ fn read_conn(
             }
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&buf[..n]);
-                if n < buf.len() {
+                // Past the cap, frame (or refuse) before reading more;
+                // the poll is level-triggered, so nothing is lost.
+                if n < buf.len() || conn.inbuf.len() > MAX_LINE_BYTES {
                     break;
                 }
             }
@@ -735,6 +756,8 @@ fn read_conn(
 
 /// Frame complete lines out of the connection's buffer and dispatch
 /// each: inline reads on this thread, heavy ops to the worker queue.
+/// A line longer than [`MAX_LINE_BYTES`] ends the batch with one
+/// `bad_request` and closes the connection.
 ///
 /// Inline responses accumulate in `outbuf` and go to the socket as one
 /// write when the batch ends (or before a job is queued, so worker
@@ -748,10 +771,24 @@ fn drain_lines(
 ) -> ConnFate {
     let mut start = 0usize;
     let fate = loop {
-        let Some(rel) = conn.inbuf[start..].iter().position(|&b| b == b'\n') else {
+        let from = start.max(conn.scanned);
+        let found = conn.inbuf[from..].iter().position(|&b| b == b'\n');
+        let line_end = found.map_or(conn.inbuf.len(), |rel| from + rel);
+        if line_end - start > MAX_LINE_BYTES {
+            ctx.service.metrics.record_error();
+            let err = ServiceError::new(
+                "bad_request",
+                format!(
+                    "request line exceeds the {MAX_LINE_BYTES}-byte limit; closing the connection"
+                ),
+            );
+            envelope_bytes_into(outbuf, &protocol::err_envelope(None, &err));
+            break ConnFate::Close;
+        }
+        if found.is_none() {
+            conn.scanned = line_end;
             break ConnFate::Keep;
-        };
-        let line_end = start + rel;
+        }
         let line = &conn.inbuf[start..line_end];
         start = line_end + 1;
 
@@ -863,6 +900,7 @@ fn drain_lines(
     // One compaction for the whole batch (a hijacked handshake leaves
     // any bytes past its line in place for the stream thread).
     conn.inbuf.drain(..start);
+    conn.scanned = conn.scanned.saturating_sub(start);
     if !outbuf.is_empty() {
         conn.out.send(outbuf);
         outbuf.clear();
@@ -879,7 +917,9 @@ fn hijack_replica(
     request: protocol::Request,
     ctx: &LoopCtx,
 ) -> Option<std::thread::JoinHandle<()>> {
-    let Conn { stream, out, inbuf } = conn;
+    let Conn {
+        stream, out, inbuf, ..
+    } = conn;
     stream.set_nonblocking(false).ok()?;
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok()?;
     while out.flush_pending() {}

@@ -9,23 +9,28 @@
 //!
 //! - `health`/`stats` read a scalar summary cell republished on every
 //!   state change — they never touch the session lock at all;
-//! - `query_user`/`query_event` pin an immutable per-epoch snapshot
-//!   (capacities, the arrangement, and the epoch's shared
-//!   [`GraphFlats`] CSR), cut under the session lock by the first read
-//!   after a state change and shared by every later read in the epoch;
+//! - `query_user`/`query_event` pin an immutable per-epoch read view,
+//!   cut under the session lock by the first read after a state change
+//!   and shared by every later read in the epoch. It is flat: the two
+//!   capacity vectors, each user's events with their similarities, and
+//!   each event's attendees in ascending user id. It holds neither the
+//!   arrangement nor the CSR — each assigned pair's similarity is
+//!   evaluated once at the cut — so a read after growth costs
+//!   `O(|U| + |V| + pairs)`, not a CSR extend;
 //! - `solve` goes through a coalescing batcher: concurrent solves pin
 //!   one epoch — an `Arc`'d instance plus that epoch's CSR — run one
 //!   budgeted pipeline per distinct parameter group *off* the session
 //!   lock, then re-take it only to adopt the best result and append
 //!   one WAL `Install` record for the whole batch.
 //!
-//! The epoch CSR comes from [`IncrementalArranger::epoch_flats`],
-//! seeded with the CSR the session's initial Greedy ran over, so a
-//! `load` builds it once. Growth mutations (`AddUser`/`AddEvent`)
-//! extend the previous epoch's arrays through [`GraphFlats::extended`],
-//! which evaluates only the new pairs, and every other mutation reuses
-//! them outright (bit-identity against a from-scratch build is
-//! property-tested in `crates/core/tests/graph_incremental.rs`).
+//! The epoch CSR comes from [`IncrementalArranger::epoch_flats`], which
+//! only solve pins and `rebuild` call, seeded with the CSR the
+//! session's initial Greedy ran over, so a `load` builds it once.
+//! Growth mutations (`AddUser`/`AddEvent`) leave it behind; the next
+//! solve extends it through [`GraphFlats::extended`], which evaluates
+//! only the new pairs, once for every mutation since the last solve
+//! (bit-identity against a from-scratch build is property-tested in
+//! `crates/core/tests/graph_incremental.rs`).
 //!
 //! ## Durability
 //!
@@ -160,18 +165,83 @@ struct StateSummary {
 }
 
 /// An immutable per-epoch view for point reads: everything
-/// `query_user`/`query_event` answer from, with pair similarities
-/// served by the epoch's shared CSR (a positive-similarity pair is in
-/// the CSR by construction, and assigned pairs always have positive
-/// similarity).
+/// `query_user`/`query_event` answer from, flattened out of the
+/// arrangement when the epoch is pinned. Each assigned pair's
+/// similarity is evaluated once, by [`Instance::similarity`] — bit for
+/// bit the value the epoch CSR stores — so reads never need the CSR,
+/// and a read after growth never extends it.
 struct ReadSnapshot {
     version: u64,
-    num_events: usize,
-    num_users: usize,
     cap_v: Vec<u32>,
     cap_u: Vec<u32>,
-    flats: Arc<GraphFlats>,
-    arrangement: Arc<Arrangement>,
+    /// User `u`'s events and their similarities sit at
+    /// `user_off[u]..user_off[u + 1]`, in `events_of` order.
+    user_off: Vec<usize>,
+    user_event: Vec<EventId>,
+    user_sim: Vec<f64>,
+    /// Event `v`'s attendees sit at `event_off[v]..event_off[v + 1]`,
+    /// in ascending user id.
+    event_off: Vec<usize>,
+    event_user: Vec<UserId>,
+}
+
+impl ReadSnapshot {
+    /// Flatten `arrangement` over `inst` for the epoch at `version`.
+    fn cut(version: u64, inst: &Instance, arrangement: &Arrangement) -> Self {
+        let pairs = arrangement.len();
+        let mut user_off = Vec::with_capacity(inst.num_users() + 1);
+        let mut user_event = Vec::with_capacity(pairs);
+        let mut user_sim = Vec::with_capacity(pairs);
+        let mut event_off = vec![0usize; inst.num_events() + 1];
+        user_off.push(0);
+        for u in inst.users() {
+            for &v in arrangement.events_of(u) {
+                user_event.push(v);
+                user_sim.push(inst.similarity(v, u));
+                event_off[v.index() + 1] += 1;
+            }
+            user_off.push(user_event.len());
+        }
+        for v in 0..inst.num_events() {
+            event_off[v + 1] += event_off[v];
+        }
+        // Placing users in id order leaves each event's range ascending.
+        let mut next = event_off.clone();
+        let mut event_user = vec![UserId(0); user_event.len()];
+        for u in inst.users() {
+            for &v in arrangement.events_of(u) {
+                event_user[next[v.index()]] = u;
+                next[v.index()] += 1;
+            }
+        }
+        ReadSnapshot {
+            version,
+            cap_v: inst.events().map(|v| inst.event_capacity(v)).collect(),
+            cap_u: inst.users().map(|u| inst.user_capacity(u)).collect(),
+            user_off,
+            user_event,
+            user_sim,
+            event_off,
+            event_user,
+        }
+    }
+
+    /// User `u`'s `(events, similarities)`.
+    fn user(&self, u: UserId) -> (&[EventId], &[f64]) {
+        let range = self.user_off[u.index()]..self.user_off[u.index() + 1];
+        (&self.user_event[range.clone()], &self.user_sim[range])
+    }
+
+    /// Event `v`'s attendees, in ascending user id.
+    fn attendees(&self, v: EventId) -> &[UserId] {
+        &self.event_user[self.event_off[v.index()]..self.event_off[v.index() + 1]]
+    }
+
+    /// The similarity of the assigned pair `(v, u)`.
+    fn similarity(&self, v: EventId, u: UserId) -> f64 {
+        let (events, sims) = self.user(u);
+        events.iter().position(|&e| e == v).map_or(0.0, |i| sims[i])
+    }
 }
 
 /// An immutable per-epoch `(instance, CSR)` pair solve batches run
@@ -600,8 +670,8 @@ impl Service {
 
     /// Pin the current epoch for a point read. The fast path is a
     /// version check plus an `Arc` clone; only the first read after a
-    /// state change takes the session lock, to cut a fresh snapshot
-    /// over the epoch CSR (reused, extended, or built).
+    /// state change takes the session lock, to flatten a fresh view of
+    /// the arrangement — `O(|U| + |V| + pairs)`, never the CSR.
     fn pin_read(&self) -> Result<Arc<ReadSnapshot>, ServiceError> {
         let version = self.state_version.load(Ordering::SeqCst);
         {
@@ -613,22 +683,16 @@ impl Service {
                 }
             }
         }
-        let mut live = lock(&self.state);
-        let session = live.session.as_mut().ok_or_else(no_instance)?;
+        let live = lock(&self.state);
+        let session = live.session.as_ref().ok_or_else(no_instance)?;
         // Re-read under the lock: the version cannot advance while we
         // hold it, so the pin is cut from exactly this version's state.
         let version = self.state_version.load(Ordering::SeqCst);
-        let flats = session.arranger.epoch_flats(self.threads);
-        let inst = session.arranger.instance();
-        let snap = Arc::new(ReadSnapshot {
+        let snap = Arc::new(ReadSnapshot::cut(
             version,
-            num_events: inst.num_events(),
-            num_users: inst.num_users(),
-            cap_v: inst.events().map(|v| inst.event_capacity(v)).collect(),
-            cap_u: inst.users().map(|u| inst.user_capacity(u)).collect(),
-            flats,
-            arrangement: Arc::new(session.arranger.arrangement().clone()),
-        });
+            session.arranger.instance(),
+            session.arranger.arrangement(),
+        ));
         *lock(&self.read_pin) = Some(Arc::clone(&snap));
         self.metrics.record_epoch_pin(true);
         Ok(snap)
@@ -923,28 +987,26 @@ impl Service {
     }
 
     /// `query_user`: a user's current assignments with similarities,
-    /// answered from the pinned epoch snapshot (assigned pairs always
-    /// have positive similarity, so the epoch CSR carries every value
-    /// this op reports).
+    /// answered from the user's slice of the pinned epoch view.
     fn query_user(&self, body: &Value) -> Result<Value, ServiceError> {
         let id = protocol::get_u64(body, "user")
             .ok_or_else(|| bad_request("query_user needs a numeric \"user\""))?;
         let snap = self.pin_read()?;
-        if id >= snap.num_users as u64 {
+        if id >= snap.cap_u.len() as u64 {
             return Err(bad_request(format!(
                 "user u{id} out of range (instance has {})",
-                snap.num_users
+                snap.cap_u.len()
             )));
         }
         let u = UserId(id as u32);
-        let events = snap
-            .arrangement
-            .events_of(u)
+        let (events, sims) = snap.user(u);
+        let events = events
             .iter()
-            .map(|&v| {
+            .zip(sims)
+            .map(|(v, sim)| {
                 Ok(Value::Object(vec![
-                    field("event", &v)?,
-                    field("similarity", &snap.flats.similarity(v, u))?,
+                    field("event", v)?,
+                    field("similarity", sim)?,
                 ]))
             })
             .collect::<Result<Vec<Value>, ServiceError>>()?;
@@ -955,33 +1017,34 @@ impl Service {
         ]))
     }
 
-    /// `query_event`: an event's current attendees with similarities,
-    /// answered from the pinned epoch snapshot.
+    /// `query_event`: an event's current attendees (ascending user id)
+    /// with similarities, answered from the event's range of the pinned
+    /// epoch view.
     fn query_event(&self, body: &Value) -> Result<Value, ServiceError> {
         let id = protocol::get_u64(body, "event")
             .ok_or_else(|| bad_request("query_event needs a numeric \"event\""))?;
         let snap = self.pin_read()?;
-        if id >= snap.num_events as u64 {
+        if id >= snap.cap_v.len() as u64 {
             return Err(bad_request(format!(
                 "event v{id} out of range (instance has {})",
-                snap.num_events
+                snap.cap_v.len()
             )));
         }
         let v = EventId(id as u32);
-        let attendees = (0..snap.num_users as u32)
-            .map(UserId)
-            .filter(|&u| snap.arrangement.contains(v, u))
-            .map(|u| {
+        let users = snap.attendees(v);
+        let attendees = users
+            .iter()
+            .map(|&u| {
                 Ok(Value::Object(vec![
                     field("user", &u)?,
-                    field("similarity", &snap.flats.similarity(v, u))?,
+                    field("similarity", &snap.similarity(v, u))?,
                 ]))
             })
             .collect::<Result<Vec<Value>, ServiceError>>()?;
         Ok(Value::Object(vec![
             field("event", &v)?,
             field("capacity", &snap.cap_v[id as usize])?,
-            field("count", &snap.arrangement.attendees_of(v))?,
+            field("count", &(users.len() as u32))?,
             ("attendees".to_string(), Value::Array(attendees)),
         ]))
     }

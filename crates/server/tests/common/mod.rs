@@ -44,6 +44,19 @@ impl Client {
         self.writer.flush().unwrap();
     }
 
+    /// Write `bytes` as they are: no newline is added.
+    pub fn send_raw(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).unwrap();
+        self.writer.flush().unwrap();
+    }
+
+    /// Whether the server has closed the connection (the next read
+    /// is end of file).
+    pub fn closed(&mut self) -> bool {
+        let mut line = String::new();
+        matches!(self.reader.read_line(&mut line), Ok(0))
+    }
+
     pub fn recv(&mut self) -> Value {
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response");

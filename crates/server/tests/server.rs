@@ -4,6 +4,7 @@
 mod common;
 
 use common::*;
+use geacc_server::server::MAX_LINE_BYTES;
 use geacc_server::{protocol, ServerConfig};
 use serde_json::Value;
 use std::time::Duration;
@@ -79,6 +80,31 @@ fn hostile_inline_load_is_a_bad_request() {
 
     client.call(r#"{"op": "shutdown"}"#);
     handle.join();
+}
+
+#[test]
+fn oversized_line_is_refused_and_its_connection_closed() {
+    let handle = ServerHandle::spawn(test_config());
+    let addr = handle.addr.clone();
+    let mut client = Client::connect(&addr);
+    ok_data(&client.call(r#"{"op": "health", "id": 1}"#));
+
+    // One byte past the cap and no newline: the line can never fit.
+    client.send_raw(&vec![b' '; MAX_LINE_BYTES + 1]);
+    let refused = client.recv();
+    assert_eq!(err_code(&refused), "bad_request");
+    let message = protocol::get_str(err_body(&refused), "message").unwrap();
+    assert!(
+        message.contains(&MAX_LINE_BYTES.to_string()),
+        "the error must name the cap: {message}"
+    );
+    assert!(client.closed(), "the connection must be closed");
+
+    let mut other = Client::connect(&addr);
+    ok_data(&other.call(r#"{"op": "health", "id": 2}"#));
+    other.call(r#"{"op": "shutdown"}"#);
+    let metrics = handle.join();
+    assert_eq!(metrics.errors, 1);
 }
 
 #[test]
