@@ -183,20 +183,49 @@ mod tests {
 
         // Hostile documents must end as data errors, not as a panic or an
         // allocation abort: a zero dimension, a dimension whose attribute
-        // buffer would need terabytes, and a matrix holding fewer values
-        // than its shape.
+        // buffer would need terabytes, a matrix holding fewer values than
+        // its shape, packed rows of a width other than `dim`, ragged rows
+        // (which do not pack), and more attribute rows than capacities.
         let values = json.find("\"values\":[").unwrap() + "\"values\":[".len();
         let values_end = values + json[values..].find(']').unwrap();
+        let events = "\"event_attrs\":[[0.0],[0.0],[0.0]]";
+        let users = "\"user_attrs\":[[0.0],[0.0],[0.0],[0.0],[0.0]]";
         let hostile = [
-            json.replacen("\"dim\":1,", "\"dim\":0,", 1),
-            json.replacen("\"dim\":1,", "\"dim\":1099511627776,", 1),
-            format!("{}0.5{}", &json[..values], &json[values_end..]),
+            (
+                json.replacen("\"dim\":1,", "\"dim\":0,", 1),
+                "dimension must be at least 1",
+            ),
+            (
+                json.replacen("\"dim\":1,", "\"dim\":1099511627776,", 1),
+                "event attribute vector of length 1, expected 1099511627776",
+            ),
+            (
+                format!("{}0.5{}", &json[..values], &json[values_end..]),
+                "declares 3×5 but holds 1 values",
+            ),
+            (
+                json.replacen(events, "\"event_attrs\":[[0.0,0.5],[0.0,0.5],[0.0,0.5]]", 1),
+                "event attribute vector of length 2, expected 1",
+            ),
+            (
+                json.replacen(events, "\"event_attrs\":[[0.0],[0.0,0.5],[0.0]]", 1),
+                "event attribute vector of length 2, expected 1",
+            ),
+            (
+                json.replacen(
+                    users,
+                    "\"user_attrs\":[[0.0],[0.0],[0.0],[0.0],[0.0],[0.0]]",
+                    1,
+                ),
+                "attribute/capacity list length mismatch",
+            ),
         ];
-        for doc in &hostile {
-            assert_ne!(&json, doc, "template lost its probe");
+        for (doc, why) in &hostile {
+            assert_ne!(&json, doc, "template lost its probe for {why:?}");
             let err = from_json_str::<Instance>("z.json", doc).unwrap_err();
             assert!(matches!(err, LoadError::Invalid { .. }), "{err:?}");
             assert!(err.to_string().contains("z.json: invalid value"), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
         }
     }
 }

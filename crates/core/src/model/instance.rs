@@ -4,13 +4,16 @@
 //! (attributes + capacities), the conflict graph `CF`, and the similarity
 //! model. Attribute vectors are stored in flat [`PointSet`]s so the
 //! similarity scans that dominate the approximation algorithms' setup run
-//! over contiguous memory.
+//! over contiguous memory. Clones share both stores (copy-on-write), so a
+//! clone costs `O(|U| + |V| + |CF|)`, not `O(|U|·d)`.
 
 use crate::model::conflict::ConflictGraph;
 use crate::model::ids::{EventId, UserId};
 use crate::similarity::{SimMatrix, SimilarityModel};
 use geacc_index::PointSet;
+use serde::__private::{from_content, to_content, Content};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Errors detected when building or validating an [`Instance`].
 #[derive(Debug, Clone, PartialEq)]
@@ -109,10 +112,14 @@ impl std::error::Error for InstanceError {}
 
 /// A complete GEACC instance. Construct with [`InstanceBuilder`] or
 /// [`Instance::from_matrix`].
+///
+/// Cloning shares the two attribute stores; [`Instance::push_user`] and
+/// [`Instance::push_event`] copy a shared store before they grow it, so
+/// the first push made while a clone is alive pays that one copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
-    event_attrs: PointSet,
-    user_attrs: PointSet,
+    event_attrs: Arc<PointSet>,
+    user_attrs: Arc<PointSet>,
     event_caps: Vec<u32>,
     user_caps: Vec<u32>,
     conflicts: ConflictGraph,
@@ -182,8 +189,8 @@ impl Instance {
             user_attrs.push(&[0.0]);
         }
         Ok(Instance {
-            event_attrs,
-            user_attrs,
+            event_attrs: Arc::new(event_attrs),
+            user_attrs: Arc::new(user_attrs),
             event_caps,
             user_caps,
             conflicts,
@@ -353,7 +360,7 @@ impl Instance {
                     }
                 }
                 m.push_column(attrs);
-                self.user_attrs.push(&[0.0]);
+                Arc::make_mut(&mut self.user_attrs).push(&[0.0]);
             }
             model => {
                 if attrs.len() != self.user_attrs.dim() {
@@ -369,7 +376,7 @@ impl Instance {
                         }
                     }
                 }
-                self.user_attrs.push(attrs);
+                Arc::make_mut(&mut self.user_attrs).push(attrs);
             }
         }
         self.user_caps.push(capacity);
@@ -404,7 +411,7 @@ impl Instance {
                     }
                 }
                 m.push_row(attrs);
-                self.event_attrs.push(&[0.0]);
+                Arc::make_mut(&mut self.event_attrs).push(&[0.0]);
             }
             model => {
                 if attrs.len() != self.event_attrs.dim() {
@@ -420,7 +427,7 @@ impl Instance {
                         }
                     }
                 }
-                self.event_attrs.push(attrs);
+                Arc::make_mut(&mut self.event_attrs).push(attrs);
             }
         }
         self.event_caps.push(capacity);
@@ -585,8 +592,8 @@ impl InstanceBuilder {
             });
         }
         Ok(Instance {
-            event_attrs: self.event_attrs,
-            user_attrs: self.user_attrs,
+            event_attrs: Arc::new(self.event_attrs),
+            user_attrs: Arc::new(self.user_attrs),
             event_caps: self.event_caps,
             user_caps: self.user_caps,
             conflicts,
@@ -595,49 +602,99 @@ impl InstanceBuilder {
     }
 }
 
-/// Serde DTO: attribute vectors as nested arrays, conflicts as pair list.
-#[derive(Serialize, Deserialize)]
+/// Serde form: a map of `dim`, `model`, each side's attribute vectors as
+/// a nested array (one row per point), both capacity lists and the
+/// conflict graph as a pair list. The attribute vectors are emitted as
+/// packed rows: one flat copy per side, not one buffer per row.
+impl Serialize for Instance {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::Error;
+        let rows =
+            |points: &PointSet| Ok(Content::F64Rows(points.dim(), points.as_flat().to_vec()));
+        let fields = [
+            ("dim", to_content(&self.dim())),
+            ("model", to_content(&self.model)),
+            ("event_attrs", rows(&self.event_attrs)),
+            ("user_attrs", rows(&self.user_attrs)),
+            ("event_caps", to_content(&self.event_caps)),
+            ("user_caps", to_content(&self.user_caps)),
+            ("conflicts", to_content(&self.conflicts)),
+        ];
+        let mut map = Vec::with_capacity(fields.len());
+        for (name, value) in fields {
+            map.push((
+                Content::Str(name.to_string()),
+                value.map_err(S::Error::custom)?,
+            ));
+        }
+        serializer.collect_content(Content::Map(map))
+    }
+}
+
+/// The serde form as read, before validation.
+#[derive(Deserialize)]
 struct InstanceDto {
     dim: usize,
     model: SimilarityModel,
-    event_attrs: Vec<Vec<f64>>,
-    user_attrs: Vec<Vec<f64>>,
+    event_attrs: AttrRows,
+    user_attrs: AttrRows,
     event_caps: Vec<u32>,
     user_caps: Vec<u32>,
     conflicts: ConflictGraph,
 }
 
-impl Serialize for Instance {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        InstanceDto {
-            dim: self.dim(),
-            model: self.model.clone(),
-            event_attrs: self.event_attrs.iter().map(<[f64]>::to_vec).collect(),
-            user_attrs: self.user_attrs.iter().map(<[f64]>::to_vec).collect(),
-            event_caps: self.event_caps.clone(),
-            user_caps: self.user_caps.clone(),
-            conflicts: self.conflicts.clone(),
+/// One side's attribute vectors as read: packed rows, adopted by move,
+/// or the rows one by one for input that did not pack (a `Value` tree,
+/// ragged or empty rows).
+enum AttrRows {
+    Packed { width: usize, floats: Vec<f64> },
+    Rows(Vec<Vec<f64>>),
+}
+
+impl<'de> Deserialize<'de> for AttrRows {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        match deserializer.deserialize_content()? {
+            Content::F64Rows(width, floats) => Ok(AttrRows::Packed { width, floats }),
+            rows => from_content(rows)
+                .map(AttrRows::Rows)
+                .map_err(D::Error::custom),
         }
-        .serialize(serializer)
     }
 }
 
-/// Copy one side's attribute rows into a flat [`PointSet`]. Every row's
-/// length is checked against `dim` before the `dim · rows` buffer is
-/// allocated, so a hostile `dim` fails here instead of in the allocator.
-/// The check reads only the row headers; the values are copied once.
-fn flatten_attrs(dim: usize, rows: &[Vec<f64>], side: &str) -> Result<PointSet, String> {
-    if let Some(row) = rows.iter().find(|row| row.len() != dim) {
-        return Err(format!(
-            "{side} attribute vector of length {}, expected {dim}",
-            row.len()
-        ));
+impl AttrRows {
+    fn len(&self) -> usize {
+        match self {
+            AttrRows::Packed { width, floats } => floats.len() / width,
+            AttrRows::Rows(rows) => rows.len(),
+        }
     }
-    let mut points = PointSet::with_capacity(dim, rows.len());
-    for row in rows {
-        points.push(row);
+
+    /// The rows as a flat [`PointSet`]. Every row's length is checked
+    /// against `dim` before anything is allocated, so a hostile `dim`
+    /// fails here instead of in the allocator. Packed rows are adopted
+    /// without a copy; unpacked ones are copied once.
+    fn into_points(self, dim: usize, side: &str) -> Result<PointSet, String> {
+        let mismatch =
+            |len: usize| format!("{side} attribute vector of length {len}, expected {dim}");
+        match self {
+            AttrRows::Packed { width, floats } if width == dim => {
+                Ok(PointSet::from_flat(dim, floats))
+            }
+            AttrRows::Packed { width, .. } => Err(mismatch(width)),
+            AttrRows::Rows(rows) => {
+                if let Some(row) = rows.iter().find(|row| row.len() != dim) {
+                    return Err(mismatch(row.len()));
+                }
+                let mut points = PointSet::with_capacity(dim, rows.len());
+                for row in &rows {
+                    points.push(row);
+                }
+                Ok(points)
+            }
+        }
     }
-    Ok(points)
 }
 
 impl<'de> Deserialize<'de> for Instance {
@@ -652,10 +709,14 @@ impl<'de> Deserialize<'de> for Instance {
         {
             return Err(D::Error::custom("attribute/capacity list length mismatch"));
         }
-        let event_attrs =
-            flatten_attrs(dto.dim, &dto.event_attrs, "event").map_err(D::Error::custom)?;
-        let user_attrs =
-            flatten_attrs(dto.dim, &dto.user_attrs, "user").map_err(D::Error::custom)?;
+        let event_attrs = dto
+            .event_attrs
+            .into_points(dto.dim, "event")
+            .map_err(D::Error::custom)?;
+        let user_attrs = dto
+            .user_attrs
+            .into_points(dto.dim, "user")
+            .map_err(D::Error::custom)?;
         if dto.conflicts.num_events() != dto.event_caps.len() {
             return Err(D::Error::custom("conflict graph shape mismatch"));
         }
@@ -666,8 +727,8 @@ impl<'de> Deserialize<'de> for Instance {
             validate_matrix_range(m).map_err(D::Error::custom)?;
         }
         Ok(Instance {
-            event_attrs,
-            user_attrs,
+            event_attrs: Arc::new(event_attrs),
+            user_attrs: Arc::new(user_attrs),
             event_caps: dto.event_caps,
             user_caps: dto.user_caps,
             conflicts: dto.conflicts,
@@ -891,6 +952,47 @@ mod tests {
             assert_eq!(serde_json::to_string(&packed).unwrap(), text);
             assert_eq!(serde_json::to_string(&unpacked).unwrap(), text);
         }
+    }
+
+    #[test]
+    fn clones_share_attribute_stores_until_a_push() {
+        let sims = |inst: &Instance| {
+            let mut bits = Vec::new();
+            for v in inst.events() {
+                for u in inst.users() {
+                    bits.push(inst.similarity(v, u).to_bits());
+                }
+            }
+            bits
+        };
+        let base = small_instance();
+        let (base_bits, base_json) = (sims(&base), serde_json::to_string(&base).unwrap());
+        for grow_original in [false, true] {
+            let mut original = base.clone();
+            let mut copy = original.clone();
+            assert!(Arc::ptr_eq(&original.event_attrs, &copy.event_attrs));
+            assert!(Arc::ptr_eq(&original.user_attrs, &copy.user_attrs));
+            let (grown, kept) = if grow_original {
+                (&mut original, &copy)
+            } else {
+                (&mut copy, &original)
+            };
+            grown.push_user(&[3.0, 4.0], 1).unwrap();
+            grown.push_event(&[6.0, 2.0], 2).unwrap();
+            assert!(!Arc::ptr_eq(&grown.user_attrs, &kept.user_attrs));
+            assert!(!Arc::ptr_eq(&grown.event_attrs, &kept.event_attrs));
+            assert_eq!(kept, &base);
+            assert_eq!(sims(kept), base_bits);
+            assert_eq!(serde_json::to_string(kept).unwrap(), base_json);
+            assert_eq!((grown.num_events(), grown.num_users()), (3, 4));
+            assert_eq!(grown.user_attrs(UserId(3)), &[3.0, 4.0]);
+            assert_eq!(grown.event_attrs(EventId(2)), &[6.0, 2.0]);
+        }
+        // A store nobody else holds grows in place.
+        let mut alone = small_instance();
+        let before = Arc::as_ptr(&alone.user_attrs);
+        alone.push_user(&[1.0, 2.0], 1).unwrap();
+        assert_eq!(Arc::as_ptr(&alone.user_attrs), before);
     }
 
     #[test]

@@ -59,6 +59,18 @@ impl PointSet {
         }
     }
 
+    /// Adopt `data`, the coordinates of every point end to end, without
+    /// copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0` or `data.len()` is not a multiple of `dim`.
+    pub fn from_flat(dim: usize, data: Vec<f64>) -> Self {
+        assert!(dim > 0, "dimensionality must be positive");
+        assert_eq!(data.len() % dim, 0, "point dimensionality mismatch");
+        PointSet { dim, data }
+    }
+
     /// Append a point.
     ///
     /// # Panics
@@ -96,6 +108,12 @@ impl PointSet {
     /// Iterate over all points in id order.
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.dim)
+    }
+
+    /// The coordinates of every point end to end, in id order.
+    #[inline]
+    pub fn as_flat(&self) -> &[f64] {
+        &self.data
     }
 }
 
@@ -146,6 +164,26 @@ mod tests {
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
         assert_eq!(distance(&[1.0], &[1.0]), 0.0);
+    }
+
+    #[test]
+    fn from_flat_adopts_the_buffer() {
+        let data = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let ptr = data.as_ptr();
+        let pts = PointSet::from_flat(3, data);
+        assert_eq!(pts.len(), 2);
+        assert_eq!(pts.point(1), &[4.0, 5.0, 6.0]);
+        assert_eq!(pts.as_flat().as_ptr(), ptr);
+        let mut pushed = PointSet::new(3);
+        pushed.push(&[1.0, 2.0, 3.0]);
+        pushed.push(&[4.0, 5.0, 6.0]);
+        assert_eq!(pts, pushed);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality mismatch")]
+    fn from_flat_rejects_a_partial_point() {
+        let _ = PointSet::from_flat(2, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! derived serde via `from_value`.
 
 use serde_json::{json, Value};
-use std::io::Write;
+use std::io::{BufRead, Read, Write};
 
 /// A parsed request line: the op name, the client's echo id, and the
 /// whole object (ops fish their parameters out of it).
@@ -169,9 +169,86 @@ pub fn write_response<W: Write>(mut writer: W, envelope: &Value) -> std::io::Res
     writer.flush()
 }
 
+/// How [`read_line_capped`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineRead {
+    /// The buffer ends with a whole line, newline included.
+    Line,
+    /// The stream ended; the buffer holds whatever came after the last
+    /// newline (nothing, or a torn last line).
+    Eof,
+    /// The line runs past the cap: the buffer holds its first `cap + 1`
+    /// bytes and no newline.
+    TooLong,
+}
+
+/// Read from `reader` onto the end of `line` up to and including the
+/// next newline, holding no more than `cap` bytes of one line before
+/// its newline, so a peer that never sends one costs at most `cap + 1`
+/// buffered bytes. A read error (a timeout) leaves the bytes read so
+/// far in `line`; calling again with the same buffer continues the
+/// line.
+pub fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    let room = (cap + 1).saturating_sub(line.len());
+    reader.by_ref().take(room as u64).read_until(b'\n', line)?;
+    Ok(if line.last() == Some(&b'\n') {
+        LineRead::Line
+    } else if line.len() > cap {
+        LineRead::TooLong
+    } else {
+        LineRead::Eof
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn capped_reads_stop_one_byte_past_the_cap() {
+        let mut line = Vec::new();
+        let mut reader = &b"abcd\nabcde\nab"[..];
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line, b"abcd\n");
+        line.clear();
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineRead::TooLong
+        );
+        assert_eq!(line, b"abcde");
+        line.clear();
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line, b"\n");
+        line.clear();
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineRead::Eof
+        );
+        assert_eq!(line, b"ab");
+        // A line cut short earlier continues, and still counts toward the cap.
+        let mut line = b"ab".to_vec();
+        let mut reader = &b"cd\n"[..];
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineRead::Line
+        );
+        let mut line = b"abc".to_vec();
+        let mut reader = &b"de\n"[..];
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineRead::TooLong
+        );
+    }
 
     #[test]
     fn parses_op_id_and_body() {

@@ -35,8 +35,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// A loaded instance under management: the arranger plus the pristine
-/// base instance snapshots embed. Live ops, boot recovery and replicas
-/// all build and advance this one type.
+/// base instance snapshots embed. The base shares its attribute vectors
+/// with the arranger's instance until that one grows. Live ops, boot
+/// recovery and replicas all build and advance this one type.
 #[derive(Debug)]
 pub struct Session {
     pub arranger: IncrementalArranger,

@@ -41,8 +41,12 @@
 //! connected replicas through the snapshot path.
 
 use crate::lock;
-use crate::protocol::{err_envelope, get, get_str, get_u64, write_response, Request, ServiceError};
+use crate::protocol::{
+    err_envelope, get, get_str, get_u64, read_line_capped, write_response, LineRead, Request,
+    ServiceError,
+};
 use crate::recovery::wal_path;
+use crate::server::MAX_LINE_BYTES;
 use crate::service::{ReplicaApplyError, Service};
 use crate::wal::{self, atomic_write, SnapshotDoc};
 use serde::{Deserialize, Serialize};
@@ -629,7 +633,9 @@ fn stream_to_replica<R: BufRead + Send + 'static>(
         let head_records =
             records_base + head_records_local.max(start_records_local + scan.records.len() as u64);
 
-        // Acks flow on their own thread; this thread only writes.
+        // Acks flow on their own thread; this thread only writes. Either
+        // side raises `ack_stop` to end the subscription: this one when
+        // its stream ends, the reader when the replica breaks the cap.
         let ack_stop = Arc::new(AtomicBool::new(false));
         let ack_handle = spawn_ack_reader(
             reader,
@@ -692,6 +698,12 @@ fn stream_to_replica<R: BufRead + Send + 'static>(
                 if stop.load(Ordering::SeqCst) {
                     return Ok(());
                 }
+                if ack_stop.load(Ordering::SeqCst) {
+                    return Err(io::Error::new(
+                        ErrorKind::InvalidData,
+                        "replica sent a line over the length cap",
+                    ));
+                }
                 match rx.recv_timeout(poll) {
                     Ok(Shipment::Record {
                         offset,
@@ -737,6 +749,10 @@ fn shift_doc(mut doc: SnapshotDoc, base: u64, records_base: u64) -> SnapshotDoc 
     doc
 }
 
+/// Read the replica's acks until the stream ends. A line longer than
+/// [`MAX_LINE_BYTES`] (acks are a few dozen bytes) raises `ack_stop`,
+/// which ends the subscription: the replica reconnects, and a hostile
+/// peer costs at most one capped line of memory.
 fn spawn_ack_reader<R: BufRead + Send + 'static>(
     mut reader: R,
     service: Arc<Service>,
@@ -745,16 +761,15 @@ fn spawn_ack_reader<R: BufRead + Send + 'static>(
     ack_stop: Arc<AtomicBool>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) || ack_stop.load(Ordering::SeqCst) {
                 return;
             }
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return,
-                Ok(_) => {
-                    if let Ok(value) = serde_json::from_str::<Value>(&line) {
+            match read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES) {
+                Ok(LineRead::Line) => {
+                    let text = std::str::from_utf8(&line).ok();
+                    if let Some(value) = text.and_then(|t| serde_json::from_str::<Value>(t).ok()) {
                         if get_str(&value, "repl") == Some("ack") {
                             // Any ack is proof a replica still sees us —
                             // the primary side of the lease.
@@ -764,7 +779,14 @@ fn spawn_ack_reader<R: BufRead + Send + 'static>(
                             }
                         }
                     }
+                    line.clear();
                 }
+                Ok(LineRead::Eof) => return,
+                Ok(LineRead::TooLong) => {
+                    ack_stop.store(true, Ordering::SeqCst);
+                    return;
+                }
+                // A timeout keeps the partial line; the next read goes on.
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     continue;
                 }

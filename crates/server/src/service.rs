@@ -246,7 +246,9 @@ impl ReadSnapshot {
 
 /// An immutable per-epoch `(instance, CSR)` pair solve batches run
 /// over, off the session lock. The instance clone is paid once per
-/// epoch that actually solves, not once per request.
+/// epoch that actually solves, not once per request, and shares the
+/// attribute vectors with the live instance: it copies the capacities
+/// and the conflict graph only.
 struct SolvePin {
     version: u64,
     inst: Arc<Instance>,
@@ -1968,6 +1970,52 @@ mod tests {
         let a = call(&svc, r#"{"op": "query_user", "user": 0}"#).unwrap();
         let b = call(&svc2, r#"{"op": "query_user", "user": 0}"#).unwrap();
         assert_eq!(a, b);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn growth_after_load_leaves_the_loaded_instance_as_it_was() {
+        // The session's base and its live instance (and a solve pin)
+        // share their attribute stores after a load; growing the live
+        // instance must copy them, never write through to the base.
+        let mut b = geacc_core::Instance::builder(2, geacc_core::SimilarityModel::Cosine);
+        b.event(&[1.0, 0.5], 2);
+        b.event(&[0.25, 1.0], 2);
+        for u in 0..6 {
+            b.user(&[1.0, u as f64 * 0.3], 1);
+        }
+        let loaded = serde_json::to_string(&b.build().unwrap()).unwrap();
+        let svc = service();
+        call(&svc, &format!(r#"{{"op": "load", "instance": {loaded}}}"#)).unwrap();
+        call(&svc, r#"{"op": "solve", "algorithm": "greedy"}"#).unwrap();
+        for mutation in [
+            r#"{"AddUser": {"attrs": [0.5, 0.5], "capacity": 2}}"#,
+            r#"{"AddEvent": {"attrs": [0.9, 0.1], "capacity": 3, "conflicts": [0]}}"#,
+            r#"{"SetCapacity": {"side": "User", "id": 0, "capacity": 0}}"#,
+        ] {
+            call(
+                &svc,
+                &format!(r#"{{"op": "mutate", "mutation": {mutation}}}"#),
+            )
+            .unwrap();
+        }
+        let dir = tmp_dir("growth-after-load");
+        let path = dir.join("snap.json");
+        let path = path.to_str().unwrap();
+        call(&svc, &format!(r#"{{"op": "snapshot", "path": "{path}"}}"#)).unwrap();
+        let doc: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let base = protocol::get(&doc, "instance").unwrap();
+        assert_eq!(serde_json::to_string(base).unwrap(), loaded);
+
+        let svc2 = service();
+        call(&svc2, &format!(r#"{{"op": "restore", "path": "{path}"}}"#)).unwrap();
+        let fingerprint = |svc: &Service| {
+            let health = call(svc, r#"{"op": "health"}"#).unwrap();
+            protocol::get_u64(&health, "fingerprint").unwrap()
+        };
+        assert_eq!(fingerprint(&svc2), fingerprint(&svc));
+        let user = r#"{"op": "query_user", "user": 6}"#;
+        assert_eq!(call(&svc2, user).unwrap(), call(&svc, user).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

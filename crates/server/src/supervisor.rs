@@ -44,10 +44,11 @@
 //! dual-promote tiebreak) demotes itself to replica and follows it.
 
 use crate::lock;
-use crate::protocol::{get, get_str, get_u64};
+use crate::protocol::{get, get_str, get_u64, read_line_capped, LineRead};
+use crate::server::MAX_LINE_BYTES;
 use crate::service::Service;
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -267,7 +268,8 @@ pub struct PeerHealth {
 }
 
 /// One blocking `health` round-trip with hard timeouts. `None` means
-/// unreachable (refused, timed out, or spoke garbage).
+/// unreachable (refused, timed out, or spoke garbage, including a reply
+/// line over [`MAX_LINE_BYTES`], which is not read past the cap).
 pub fn probe_health(addr: &str, timeout: Duration) -> Option<PeerHealth> {
     let sock: SocketAddr = addr.to_socket_addrs().ok()?.next()?;
     let stream = TcpStream::connect_timeout(&sock, timeout).ok()?;
@@ -278,9 +280,11 @@ pub fn probe_health(addr: &str, timeout: Duration) -> Option<PeerHealth> {
     writer.write_all(b"{\"op\":\"health\",\"id\":0}\n").ok()?;
     writer.flush().ok()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    let value: Value = serde_json::from_str(&line).ok()?;
+    let mut line = Vec::new();
+    if read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES).ok()? == LineRead::TooLong {
+        return None;
+    }
+    let value: Value = serde_json::from_str(std::str::from_utf8(&line).ok()?).ok()?;
     let data = get(&value, "data")?;
     Some(PeerHealth {
         role_primary: get_str(data, "role") == Some("primary"),
@@ -518,6 +522,43 @@ mod tests {
         assert_eq!(sup.upstream(), None);
         assert_eq!(sup.primary_hint(), Some("10.0.0.3:7411".to_string()));
         assert_eq!(sup.replica_silence(), None);
+    }
+
+    #[test]
+    fn probe_reads_no_reply_line_past_the_cap() {
+        // A fake peer answers with a valid health reply behind `pad`
+        // spaces of leading whitespace: JSON at any length, so only the
+        // cap can refuse it.
+        const REPLY: &str = r#"{"ok":true,"id":0,"data":{"role":"primary","generation":3,"repl_offset":9,"node_id":4}}"#;
+        let probe_padded = |pad: usize| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let peer = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut request = Vec::new();
+                read_line_capped(&mut BufReader::new(&stream), &mut request, 1024).unwrap();
+                let chunk = vec![b' '; 1 << 20];
+                let mut left = pad;
+                while left > 0 {
+                    let n = left.min(chunk.len());
+                    if stream.write_all(&chunk[..n]).is_err() {
+                        return;
+                    }
+                    left -= n;
+                }
+                let _ = stream.write_all(format!("{REPLY}\n").as_bytes());
+            });
+            let health = probe_health(&addr, Duration::from_secs(10));
+            peer.join().unwrap();
+            health
+        };
+        let at_cap = probe_padded(MAX_LINE_BYTES - REPLY.len()).expect("a line at the cap parses");
+        assert_eq!(
+            (at_cap.generation, at_cap.offset, at_cap.node_id),
+            (3, 9, 4)
+        );
+        assert!(at_cap.role_primary);
+        assert!(probe_padded(MAX_LINE_BYTES + 1 - REPLY.len()).is_none());
     }
 
     #[test]

@@ -11,6 +11,7 @@ mod common;
 use common::*;
 use geacc_server::chaos::{ChaosPlan, ChaosProxy, LinePolicy};
 use geacc_server::client::{ClientConfig, RetryClient};
+use geacc_server::server::MAX_LINE_BYTES;
 use geacc_server::{protocol, recovery, wal, ServerConfig};
 use serde_json::Value;
 use std::time::{Duration, Instant};
@@ -430,6 +431,46 @@ fn duplicated_record_lines_apply_once() {
 
     replica.shutdown();
     drop(proxy);
+    primary.shutdown();
+}
+
+/// A replica connection that sends a line past the length cap (acks are
+/// a few dozen bytes) loses its subscription once the primary has read
+/// one byte past the cap, and the primary keeps serving.
+#[test]
+fn oversized_replica_line_drops_the_subscriber() {
+    let primary_dir = tmp_dir("oversized-ack");
+    let primary = ServerHandle::spawn(ServerConfig {
+        accept_replicas: true,
+        ..durable_config(&primary_dir)
+    });
+    let mut on_primary = Client::connect(&primary.addr);
+    let mut replicas = || {
+        let stats = on_primary.call(r#"{"op": "stats"}"#);
+        let replication = protocol::get(ok_data(&stats), "replication").unwrap();
+        protocol::get_u64(replication, "replicas").unwrap()
+    };
+    let mut fake = Client::connect(&primary.addr);
+    fake.send(r#"{"op": "replicate", "from_offset": 0, "generation": 0}"#);
+    assert_eq!(protocol::get_str(&fake.recv(), "repl"), Some("hello"));
+    assert_eq!(replicas(), 1);
+
+    // One byte past the cap and no newline, in 1 MiB writes.
+    let chunk = vec![b' '; 1 << 20];
+    let mut left = MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        fake.send_raw(&chunk[..n]);
+        left -= n;
+    }
+    wait_for(
+        "the subscriber to be dropped",
+        Duration::from_secs(10),
+        || (replicas() == 0).then_some(()),
+    );
+    let mut other = Client::connect(&primary.addr);
+    assert_eq!(protocol::get_str(&health(&mut other), "status"), Some("ok"));
+    ok_data(&other.call(&load_line()));
     primary.shutdown();
 }
 

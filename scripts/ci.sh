@@ -15,6 +15,8 @@
 # - the non-blocking-reads gate (nonblocking_reads: read p99 under
 #   10 ms while a 2 s solve wedges the only worker, and identical
 #   solves coalesced into one batch);
+# - the cold-load memory gate (cold_load_memory: requested bytes, so
+#   no host moves it, for parsing an instance and cloning it);
 # - the fig3 solve smoke through the CLI: MinCostFlow-GEACC completes
 #   within a 2 s deadline on the 100x1000 instance, a 2 s ALNS run
 #   keeps at least its Greedy-GEACC seed's MaxSum on the 50x500 and
@@ -89,6 +91,13 @@ echo "== non-blocking reads gate =="
 # binary of its own, so nothing else competes for the cores while it
 # times reads.
 cargo test -p geacc-server --test nonblocking_reads -q
+
+echo "== cold-load memory gate =="
+# The cold-start memory contract, counted by the tracking allocator in
+# requested bytes: parsing a 10x20,000 (d = 20) instance peaks at no
+# more than 2.5x its attribute bytes above the text, and cloning the
+# loaded instance allocates under a tenth of them.
+cargo test -p geacc-bench --test cold_load_memory -q
 
 echo "== fig3 solve smoke =="
 # Two solver gates end to end through the CLI, on fig3-shaped synthetic
