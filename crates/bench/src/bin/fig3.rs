@@ -21,181 +21,109 @@
 //! shape comparison against the paper.
 
 use geacc_bench::cli;
-use geacc_bench::runner::measure_with;
-use geacc_bench::table::{write_csv, Series};
-use geacc_core::algorithms::Algorithm;
-use geacc_core::parallel::{par_map_coarse, Threads};
+use geacc_bench::sweep::Sweep;
 use geacc_datagen::SyntheticConfig;
-use std::path::Path;
 
 #[global_allocator]
 static ALLOC: geacc_bench::alloc::TrackingAllocator = geacc_bench::alloc::TrackingAllocator;
 
-const ALGOS: [Algorithm; 4] = [
-    Algorithm::Greedy,
-    Algorithm::MinCostFlow,
-    Algorithm::RandomV { seed: 42 },
-    Algorithm::RandomU { seed: 42 },
-];
-
 fn main() {
     let panel = cli::flag_value("panel");
     let quick = cli::has_flag("quick");
-    let repeats = cli::repeats(1);
-    let threads = cli::threads();
-    let timeout_ms = cli::timeout_ms();
+    let sweep = Sweep::from_cli();
     let run_all = panel.is_none();
     let panel = panel.unwrap_or_default();
 
     if run_all || panel == "v" {
-        let sweep: &[usize] = if quick {
+        let xs: &[usize] = if quick {
             &[20, 50, 100]
         } else {
             &[20, 50, 100, 200, 500]
         };
-        sweep_panel(
+        sweep.panel(
             "fig3_v",
             "|V|",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&nv| {
-                    (
-                        nv.to_string(),
+                    (nv.to_string(), move || {
                         SyntheticConfig {
                             num_events: nv,
                             seed: 100 + nv as u64,
                             ..Default::default()
-                        },
-                    )
+                        }
+                        .generate()
+                    })
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
     }
     if run_all || panel == "u" {
-        let sweep: &[usize] = if quick {
+        let xs: &[usize] = if quick {
             &[100, 200, 500]
         } else {
             &[100, 200, 500, 1000, 2000, 5000]
         };
-        sweep_panel(
+        sweep.panel(
             "fig3_u",
             "|U|",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&nu| {
-                    (
-                        nu.to_string(),
+                    (nu.to_string(), move || {
                         SyntheticConfig {
                             num_users: nu,
                             seed: 200 + nu as u64,
                             ..Default::default()
-                        },
-                    )
+                        }
+                        .generate()
+                    })
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
     }
     if run_all || panel == "d" {
-        let sweep: &[usize] = if quick {
+        let xs: &[usize] = if quick {
             &[2, 10, 20]
         } else {
             &[2, 5, 10, 15, 20]
         };
-        sweep_panel(
+        sweep.panel(
             "fig3_d",
             "d",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&d| {
-                    (
-                        d.to_string(),
+                    (d.to_string(), move || {
                         SyntheticConfig {
                             dim: d,
                             seed: 300 + d as u64,
                             ..Default::default()
-                        },
-                    )
+                        }
+                        .generate()
+                    })
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
     }
     if run_all || panel == "cf" {
-        let sweep: &[f64] = if quick {
+        let xs: &[f64] = if quick {
             &[0.0, 0.5, 1.0]
         } else {
             &[0.0, 0.25, 0.5, 0.75, 1.0]
         };
-        sweep_panel(
+        sweep.panel(
             "fig3_cf",
             "|CF| ratio",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&r| {
-                    (
-                        format!("{r}"),
+                    (format!("{r}"), move || {
                         SyntheticConfig {
                             conflict_ratio: r,
                             seed: 400 + (r * 4.0) as u64,
                             ..Default::default()
-                        },
-                    )
+                        }
+                        .generate()
+                    })
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
-    }
-}
-
-/// Run one Fig. 3 column: for each sweep point, generate the instance and
-/// measure every algorithm (cells run concurrently on the worker pool),
-/// then emit the three metric panels in sweep order.
-fn sweep_panel(
-    stem: &str,
-    x_label: &str,
-    points: Vec<(String, SyntheticConfig)>,
-    repeats: usize,
-    threads: Threads,
-    timeout_ms: Option<u64>,
-) {
-    let mut max_sum = Series::new(format!("{stem}: MaxSum vs {x_label}"), x_label);
-    let mut time = Series::new(format!("{stem}: time (s) vs {x_label}"), x_label);
-    let mut memory = Series::new(format!("{stem}: memory (MB) vs {x_label}"), x_label);
-    let cells = par_map_coarse(threads, points.len(), |i| {
-        let (x, config) = &points[i];
-        eprintln!("[{stem}] {x_label} = {x} …");
-        let instance = config.generate();
-        ALGOS.map(|algo| measure_with(&instance, algo, repeats, timeout_ms))
-    });
-    for ((x, _), cell) in points.iter().zip(&cells) {
-        max_sum.x.push(x.clone());
-        time.x.push(x.clone());
-        memory.x.push(x.clone());
-        for (algo, m) in ALGOS.iter().zip(cell) {
-            if !m.complete {
-                eprintln!(
-                    "[{stem}] {x_label} = {x}: {} budget-stopped; values are its incumbent",
-                    algo.name()
-                );
-            }
-            max_sum.push(algo.name(), m.max_sum);
-            time.push(algo.name(), m.seconds);
-            memory.push(algo.name(), m.peak_bytes as f64 / 1e6);
-        }
-    }
-    for (suffix, series) in [("maxsum", &max_sum), ("time", &time), ("memory", &memory)] {
-        println!("{}", series.to_text());
-        write_csv(Path::new("results"), &format!("{stem}_{suffix}"), series)
-            .expect("write results CSV");
     }
 }

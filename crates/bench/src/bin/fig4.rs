@@ -17,97 +17,74 @@
 //! incumbent and are flagged on stderr.
 
 use geacc_bench::cli;
-use geacc_bench::runner::measure_with;
-use geacc_bench::table::{write_csv, Series};
-use geacc_core::algorithms::Algorithm;
-use geacc_core::parallel::{par_map_coarse, Threads};
-use geacc_core::Instance;
+use geacc_bench::sweep::Sweep;
 use geacc_datagen::{AttrDistribution, CapDistribution, City, MeetupConfig, SyntheticConfig};
-use std::path::Path;
 
 #[global_allocator]
 static ALLOC: geacc_bench::alloc::TrackingAllocator = geacc_bench::alloc::TrackingAllocator;
 
-const ALGOS: [Algorithm; 4] = [
-    Algorithm::Greedy,
-    Algorithm::MinCostFlow,
-    Algorithm::RandomV { seed: 42 },
-    Algorithm::RandomU { seed: 42 },
-];
-
 fn main() {
     let panel = cli::flag_value("panel");
     let quick = cli::has_flag("quick");
-    let repeats = cli::repeats(1);
-    let threads = cli::threads();
-    let timeout_ms = cli::timeout_ms();
+    let sweep = Sweep::from_cli();
     let run_all = panel.is_none();
     let panel = panel.unwrap_or_default();
 
     if run_all || panel == "cv" {
         // c_v ~ Uniform[1, max c_v], max c_v on the x-axis.
-        let sweep: &[u32] = if quick {
+        let xs: &[u32] = if quick {
             &[10, 50, 200]
         } else {
             &[10, 20, 50, 100, 200]
         };
-        sweep_panel(
+        sweep.panel(
             "fig4_cv",
             "max c_v",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&m| {
                     let config = SyntheticConfig {
                         cap_v_dist: CapDistribution::Uniform { min: 1, max: m },
                         seed: 500 + m as u64,
                         ..Default::default()
                     };
-                    (m.to_string(), config.generate())
+                    (m.to_string(), move || config.generate())
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
     }
     if run_all || panel == "cu" {
-        let sweep: &[u32] = if quick {
+        let xs: &[u32] = if quick {
             &[2, 6, 10]
         } else {
             &[2, 4, 6, 8, 10]
         };
-        sweep_panel(
+        sweep.panel(
             "fig4_cu",
             "max c_u",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&m| {
                     let config = SyntheticConfig {
                         cap_u_dist: CapDistribution::Uniform { min: 1, max: m },
                         seed: 600 + m as u64,
                         ..Default::default()
                     };
-                    (m.to_string(), config.generate())
+                    (m.to_string(), move || config.generate())
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
     }
     if run_all || panel == "dist" {
         // The paper's distribution column: Zipf(1.3) attributes, Normal
         // capacities, swept over |V|.
-        let sweep: &[usize] = if quick {
+        let xs: &[usize] = if quick {
             &[20, 100]
         } else {
             &[20, 50, 100, 200, 500]
         };
-        sweep_panel(
+        sweep.panel(
             "fig4_dist",
             "|V| (Zipf attrs, Normal caps)",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&nv| {
                     let config = SyntheticConfig {
                         num_events: nv,
@@ -123,76 +100,30 @@ fn main() {
                         seed: 700 + nv as u64,
                         ..Default::default()
                     };
-                    (nv.to_string(), config.generate())
+                    (nv.to_string(), move || config.generate())
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
     }
     if run_all || panel == "real" {
         // Real (Meetup-sim) Auckland, Uniform capacities, |CF| ratio on
         // the x-axis — the paper's last column.
-        let sweep: &[f64] = if quick {
+        let xs: &[f64] = if quick {
             &[0.0, 0.5, 1.0]
         } else {
             &[0.0, 0.25, 0.5, 0.75, 1.0]
         };
-        sweep_panel(
+        sweep.panel(
             "fig4_real",
             "|CF| ratio (Auckland)",
-            sweep
-                .iter()
+            xs.iter()
                 .map(|&r| {
                     let mut config = MeetupConfig::new(City::Auckland);
                     config.conflict_ratio = r;
                     config.seed = 800 + (r * 4.0) as u64;
-                    (format!("{r}"), config.generate())
+                    (format!("{r}"), move || config.generate())
                 })
                 .collect(),
-            repeats,
-            threads,
-            timeout_ms,
         );
-    }
-}
-
-fn sweep_panel(
-    stem: &str,
-    x_label: &str,
-    points: Vec<(String, Instance)>,
-    repeats: usize,
-    threads: Threads,
-    timeout_ms: Option<u64>,
-) {
-    let mut max_sum = Series::new(format!("{stem}: MaxSum vs {x_label}"), x_label);
-    let mut time = Series::new(format!("{stem}: time (s) vs {x_label}"), x_label);
-    let mut memory = Series::new(format!("{stem}: memory (MB) vs {x_label}"), x_label);
-    let cells = par_map_coarse(threads, points.len(), |i| {
-        let (x, instance) = &points[i];
-        eprintln!("[{stem}] {x_label} = {x} …");
-        ALGOS.map(|algo| measure_with(instance, algo, repeats, timeout_ms))
-    });
-    for ((x, _), cell) in points.iter().zip(&cells) {
-        max_sum.x.push(x.clone());
-        time.x.push(x.clone());
-        memory.x.push(x.clone());
-        for (algo, m) in ALGOS.iter().zip(cell) {
-            if !m.complete {
-                eprintln!(
-                    "[{stem}] {x_label} = {x}: {} budget-stopped; values are its incumbent",
-                    algo.name()
-                );
-            }
-            max_sum.push(algo.name(), m.max_sum);
-            time.push(algo.name(), m.seconds);
-            memory.push(algo.name(), m.peak_bytes as f64 / 1e6);
-        }
-    }
-    for (suffix, series) in [("maxsum", &max_sum), ("time", &time), ("memory", &memory)] {
-        println!("{}", series.to_text());
-        write_csv(Path::new("results"), &format!("{stem}_{suffix}"), series)
-            .expect("write results CSV");
     }
 }

@@ -23,6 +23,7 @@
 pub mod alloc;
 pub mod cli;
 pub mod runner;
+pub mod sweep;
 pub mod table;
 
 pub use runner::{measure, measure_with, Measurement};

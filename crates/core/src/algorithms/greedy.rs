@@ -1,4 +1,6 @@
-//! Greedy-GEACC (Algorithm 2 of the paper).
+//! Greedy-GEACC (Algorithm 2 of the paper), and its best-first
+//! frontier: the one routine that the full solve, ALNS's repair and the
+//! live arranger's repair all run.
 //!
 //! Globally greedy: a heap `H` holds the best known candidate pair per
 //! frontier node; each iteration pops the most similar pair overall, adds
@@ -19,17 +21,21 @@
 //! - a feasible candidate that is already waiting in `H` ends the scan
 //!   without a push (Example 3's `{v₁, u₃}` case).
 //!
+//! `Frontier` is that discipline, parameterised by where it starts
+//! and what it walks: its seeds (every node for [`greedy_on`], a
+//! destroyed or mutated region for the repairs), a [`Streams`] of
+//! (sim desc, id asc) candidates per node, an optional noise draw
+//! (ALNS's Ropke–Pisinger repair) and an optional budget meter.
+//! [`greedy_on`] walks dense cursors over the shared
+//! [`CandidateGraph`]'s similarity-sorted rows and columns; the repairs
+//! walk [`RegionStreams`][crate::engine::RegionStreams], the same rows
+//! merged with the ids an instance gained since its flats were built.
+//!
 //! The pushed/popped membership sets are flat bitsets keyed
 //! `v·|U| + u` whenever the pair domain fits a fixed memory budget
 //! (`PairSet`) — O(1) untyped loads instead of SipHash on the hot scan
-//! path — falling back to a `HashSet` for outsized domains.
-//!
-//! Neighbour streams are cursors over the shared
-//! [`CandidateGraph`]'s similarity-sorted rows and columns — the same
-//! (sim desc, id asc) yield order the chunked `NeighborOracle` streams
-//! produce (the `parallel_determinism` suite checks the two bit for
-//! bit), so the arrangement is unchanged, but the candidate index is
-//! built once per instance and shared with every other solver.
+//! path — falling back to a `HashSet` for outsized domains and for
+//! region repairs, whose cost must follow the region, not `|V|·|U|`.
 
 use crate::engine::CandidateGraph;
 use crate::model::arrangement::Arrangement;
@@ -37,7 +43,9 @@ use crate::model::ids::{EventId, UserId};
 use crate::parallel::Threads;
 use crate::runtime::{BudgetMeter, StopReason};
 use crate::Instance;
-use std::collections::{BinaryHeap, HashSet};
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Configuration for [`greedy`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -100,6 +108,118 @@ impl PairSet {
     }
 }
 
+/// A similarity-sorted candidate stream per node — similarity
+/// descending, ties by id ascending, positive similarities only — each
+/// consumed at most once, front to back.
+pub trait Streams {
+    /// Consume event `v`'s stream through the first user `keep` accepts
+    /// and return that user with the pair's similarity; `None` once the
+    /// stream is exhausted, or if `v` has none.
+    fn next_user(&mut self, v: EventId, keep: impl FnMut(UserId) -> bool) -> Option<(UserId, f64)>;
+
+    /// Consume user `u`'s stream through the first event `keep` accepts;
+    /// `None` once it is exhausted, or if `u` has none.
+    fn next_event(
+        &mut self,
+        u: UserId,
+        keep: impl FnMut(EventId) -> bool,
+    ) -> Option<(EventId, f64)>;
+}
+
+/// The matching a frontier grows. Inserting only ever shrinks what can
+/// be inserted next, which is what makes the scan discipline sound.
+pub(crate) trait Matching {
+    /// Whether `v` has spare capacity.
+    fn event_open(&self, v: EventId) -> bool;
+    /// Whether `u` has spare capacity.
+    fn user_open(&self, u: UserId) -> bool;
+    /// Whether `(v, u)` can be added now: spare capacity on both sides,
+    /// not matched yet, and no conflict with `u`'s events.
+    fn can_insert(&self, v: EventId, u: UserId) -> bool;
+    /// Add a pair [`Self::can_insert`] admitted.
+    fn insert(&mut self, v: EventId, u: UserId, sim: f64);
+}
+
+/// Greedy-GEACC's matching: the arrangement plus every node's remaining
+/// capacity, so a scan rejects a full counterpart with one load.
+struct Greedy<'a> {
+    inst: &'a Instance,
+    arrangement: Arrangement,
+    cap_v: Vec<u32>,
+    cap_u: Vec<u32>,
+}
+
+impl Matching for Greedy<'_> {
+    fn event_open(&self, v: EventId) -> bool {
+        self.cap_v[v.index()] > 0
+    }
+
+    fn user_open(&self, u: UserId) -> bool {
+        self.cap_u[u.index()] > 0
+    }
+
+    /// No matched-pair test: every matched pair was popped, and the
+    /// frontier never offers a popped pair again.
+    fn can_insert(&self, v: EventId, u: UserId) -> bool {
+        self.cap_u[u.index()] > 0
+            && self.cap_v[v.index()] > 0
+            && !self
+                .inst
+                .conflicts()
+                .conflicts_with_any(v, self.arrangement.events_of(u))
+    }
+
+    fn insert(&mut self, v: EventId, u: UserId, sim: f64) {
+        self.arrangement.push_unchecked(v, u, sim);
+        self.cap_v[v.index()] -= 1;
+        self.cap_u[u.index()] -= 1;
+    }
+}
+
+/// Greedy-GEACC's streams: one cursor per node into the candidate
+/// graph's similarity-sorted rows and columns.
+struct Cursors<'g, 'a> {
+    graph: &'g CandidateGraph<'a>,
+    events: Vec<usize>,
+    users: Vec<usize>,
+}
+
+/// Consume `ids[*pos..]` through the first id `keep` accepts.
+#[inline]
+fn advance(
+    (ids, sims): (&[u32], &[f64]),
+    pos: &mut usize,
+    mut keep: impl FnMut(u32) -> bool,
+) -> Option<(u32, f64)> {
+    while let Some(&id) = ids.get(*pos) {
+        *pos += 1;
+        if keep(id) {
+            return Some((id, sims[*pos - 1]));
+        }
+    }
+    None
+}
+
+impl Streams for Cursors<'_, '_> {
+    fn next_user(
+        &mut self,
+        v: EventId,
+        mut keep: impl FnMut(UserId) -> bool,
+    ) -> Option<(UserId, f64)> {
+        let pos = &mut self.events[v.index()];
+        advance(self.graph.sorted_row(v), pos, |u| keep(UserId(u))).map(|(u, s)| (UserId(u), s))
+    }
+
+    fn next_event(
+        &mut self,
+        u: UserId,
+        mut keep: impl FnMut(EventId) -> bool,
+    ) -> Option<(EventId, f64)> {
+        let pos = &mut self.users[u.index()];
+        advance(self.graph.sorted_col(u), pos, |v| keep(EventId(v))).map(|(v, s)| (EventId(v), s))
+    }
+}
+
 /// Run Greedy-GEACC; returns a feasible arrangement.
 pub fn greedy(inst: &Instance) -> Arrangement {
     greedy_with(inst, GreedyConfig::default())
@@ -126,187 +246,192 @@ pub fn greedy_on(
     meter: Option<&BudgetMeter>,
 ) -> (Arrangement, Option<StopReason>) {
     let inst = graph.instance();
-    let nu = inst.num_users() as u64;
-    let key = |v: EventId, u: UserId| v.0 as u64 * nu + u.0 as u64;
-
-    let mut arrangement = Arrangement::empty_for(inst);
-    // Per-node stream cursors into the graph's sorted rows/columns.
-    let mut event_pos = vec![0usize; inst.num_events()];
-    let mut user_pos = vec![0usize; inst.num_users()];
-    // Remaining capacities.
-    let mut cap_v: Vec<u32> = inst.events().map(|v| inst.event_capacity(v)).collect();
-    let mut cap_u: Vec<u32> = inst.users().map(|u| inst.user_capacity(u)).collect();
-    // Pairs ever pushed into H / already popped from it.
-    let num_pairs = inst.num_events() as u64 * nu;
-    let mut pushed = PairSet::with_domain(num_pairs);
-    let mut popped = PairSet::with_domain(num_pairs);
-    let mut heap: BinaryHeap<HeapPair> = BinaryHeap::new();
-
-    // Scan `v`'s stream for its next feasible unvisited user; push the
-    // pair unless it is already waiting in H. The cursor consumes
-    // skipped entries exactly like the chunked streams did: a pair
-    // infeasible at scan time can never become feasible again.
-    let scan_event = |v: EventId,
-                      event_pos: &mut [usize],
-                      arrangement: &Arrangement,
-                      cap_u: &[u32],
-                      pushed: &mut PairSet,
-                      popped: &PairSet,
-                      heap: &mut BinaryHeap<HeapPair>| {
-        let (users, sims) = graph.sorted_row(v);
-        let pos = &mut event_pos[v.index()];
-        while *pos < users.len() {
-            let (u, sim) = (UserId(users[*pos]), sims[*pos]);
-            *pos += 1;
-            let k = key(v, u);
-            if popped.contains(k) {
-                continue; // visited
-            }
-            let feasible = cap_u[u.index()] > 0
-                && !inst
-                    .conflicts()
-                    .conflicts_with_any(v, arrangement.events_of(u));
-            if !feasible {
-                continue; // can never become feasible again
-            }
-            if pushed.insert(k) {
-                heap.push(HeapPair { sim, v, u });
-            }
-            return;
-        }
+    let mut cursors = Cursors {
+        graph,
+        events: vec![0; inst.num_events()],
+        users: vec![0; inst.num_users()],
     };
-    let scan_user = |u: UserId,
-                     user_pos: &mut [usize],
-                     arrangement: &Arrangement,
-                     cap_v: &[u32],
-                     pushed: &mut PairSet,
-                     popped: &PairSet,
-                     heap: &mut BinaryHeap<HeapPair>| {
-        let (events, sims) = graph.sorted_col(u);
-        let pos = &mut user_pos[u.index()];
-        while *pos < events.len() {
-            let (v, sim) = (EventId(events[*pos]), sims[*pos]);
-            *pos += 1;
-            let k = key(v, u);
-            if popped.contains(k) {
-                continue;
-            }
-            let feasible = cap_v[v.index()] > 0
-                && !inst
-                    .conflicts()
-                    .conflicts_with_any(v, arrangement.events_of(u));
-            if !feasible {
-                continue;
-            }
-            if pushed.insert(k) {
-                heap.push(HeapPair { sim, v, u });
-            }
-            return;
-        }
+    let mut greedy = Greedy {
+        inst,
+        arrangement: Arrangement::empty_for(inst),
+        cap_v: inst.events().map(|v| inst.event_capacity(v)).collect(),
+        cap_u: inst.users().map(|u| inst.user_capacity(u)).collect(),
     };
-
-    // One unit of budgeted work: a heap pop or an initialization scan.
-    macro_rules! tick {
-        () => {
-            if let Some(m) = meter {
-                if let Some(reason) = m.tick() {
-                    return (arrangement, Some(reason));
-                }
-            }
-        };
-    }
-
-    // Initialization (lines 1–9): each side's first NN.
-    for v in inst.events() {
-        tick!();
-        if cap_v[v.index()] > 0 {
-            scan_event(
-                v,
-                &mut event_pos,
-                &arrangement,
-                &cap_u,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
-        }
-    }
-    for u in inst.users() {
-        tick!();
-        if cap_u[u.index()] > 0 {
-            scan_user(
-                u,
-                &mut user_pos,
-                &arrangement,
-                &cap_v,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
-        }
-    }
-
-    // Iteration (lines 11–23).
-    while let Some(HeapPair { sim, v, u }) = heap.pop() {
-        tick!();
-        popped.insert(key(v, u));
-        if cap_v[v.index()] > 0
-            && cap_u[u.index()] > 0
-            && !inst
-                .conflicts()
-                .conflicts_with_any(v, arrangement.events_of(u))
-        {
-            arrangement.push_unchecked(v, u, sim);
-            cap_v[v.index()] -= 1;
-            cap_u[u.index()] -= 1;
-        }
-        if cap_v[v.index()] > 0 {
-            scan_event(
-                v,
-                &mut event_pos,
-                &arrangement,
-                &cap_u,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
-        }
-        if cap_u[u.index()] > 0 {
-            scan_user(
-                u,
-                &mut user_pos,
-                &arrangement,
-                &cap_v,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
-        }
-    }
-    (arrangement, None)
+    let stopped = Frontier::whole(inst).run(
+        inst.events(),
+        inst.users(),
+        &mut cursors,
+        &mut greedy,
+        meter,
+    );
+    (greedy.arrangement, stopped)
 }
 
-/// Heap entry ordered by similarity (max first), ties by `(v, u)`
-/// ascending for determinism.
+/// Greedy-GEACC's best-first frontier (see the module docs): a heap of
+/// at most one pending candidate per node stream, and the pairs it ever
+/// pushed or popped.
+pub(crate) struct Frontier<'r> {
+    heap: BinaryHeap<FrontierPair>,
+    pushed: PairSet,
+    popped: PairSet,
+    /// `|U|`, for the pair keys `v·|U| + u`.
+    num_users: u64,
+    noise: Option<Noise<'r>>,
+}
+
+/// The Ropke–Pisinger draw: each pushed candidate's score is
+/// `sim · (1 − amplitude·r)`, `r ~ U[0,1)` drawn at push. The heap holds
+/// only scores, so the true similarities wait here, by pair key; a
+/// frontier without noise keeps its heap entries at 16 bytes.
+struct Noise<'r> {
+    rng: &'r mut StdRng,
+    amplitude: f64,
+    sims: HashMap<u64, f64>,
+}
+
+impl<'r> Frontier<'r> {
+    /// A frontier over every pair of `inst`, with dense pair sets when
+    /// they fit [`PairSet::BUDGET_BITS`].
+    fn whole(inst: &Instance) -> Self {
+        let num_users = inst.num_users() as u64;
+        let domain = inst.num_events() as u64 * num_users;
+        Frontier {
+            heap: BinaryHeap::new(),
+            pushed: PairSet::with_domain(domain),
+            popped: PairSet::with_domain(domain),
+            num_users,
+            noise: None,
+        }
+    }
+
+    /// A frontier over one region of `inst`: hashed pair sets, so its
+    /// memory follows the pairs it touches, and an optional noise draw.
+    pub(crate) fn region(inst: &Instance, noise: Option<(&'r mut StdRng, f64)>) -> Self {
+        Frontier {
+            heap: BinaryHeap::new(),
+            pushed: PairSet::Hash(HashSet::new()),
+            popped: PairSet::Hash(HashSet::new()),
+            num_users: inst.num_users() as u64,
+            noise: noise.map(|(rng, amplitude)| Noise {
+                rng,
+                amplitude,
+                sims: HashMap::new(),
+            }),
+        }
+    }
+
+    /// Seed the streams of `events` then `users` that have spare
+    /// capacity, then pop, insert and advance until the heap is empty.
+    /// With a meter, each seed and each pop is one tick, and a tripped
+    /// limit returns its reason with the matching as it stands.
+    pub(crate) fn run(
+        mut self,
+        events: impl IntoIterator<Item = EventId>,
+        users: impl IntoIterator<Item = UserId>,
+        streams: &mut impl Streams,
+        matching: &mut impl Matching,
+        meter: Option<&BudgetMeter>,
+    ) -> Option<StopReason> {
+        let tick = || meter.and_then(BudgetMeter::tick);
+        for v in events {
+            if let Some(reason) = tick() {
+                return Some(reason);
+            }
+            if matching.event_open(v) {
+                self.scan_event(v, streams, matching);
+            }
+        }
+        for u in users {
+            if let Some(reason) = tick() {
+                return Some(reason);
+            }
+            if matching.user_open(u) {
+                self.scan_user(u, streams, matching);
+            }
+        }
+        while let Some(FrontierPair { score, v, u }) = self.heap.pop() {
+            if let Some(reason) = tick() {
+                return Some(reason);
+            }
+            let key = self.key(v, u);
+            self.popped.insert(key);
+            let sim = self.noise.as_ref().map_or(score, |n| n.sims[&key]);
+            if matching.can_insert(v, u) {
+                matching.insert(v, u, sim);
+            }
+            if matching.event_open(v) {
+                self.scan_event(v, streams, matching);
+            }
+            if matching.user_open(u) {
+                self.scan_user(u, streams, matching);
+            }
+        }
+        None
+    }
+
+    #[inline]
+    fn key(&self, v: EventId, u: UserId) -> u64 {
+        v.0 as u64 * self.num_users + u.0 as u64
+    }
+
+    /// Advance `v`'s stream past visited pairs and pairs it can no
+    /// longer insert, and push the first other one unless it is already
+    /// waiting in the heap.
+    fn scan_event(&mut self, v: EventId, streams: &mut impl Streams, m: &impl Matching) {
+        let next = streams.next_user(v, |u| {
+            m.can_insert(v, u) && !self.popped.contains(self.key(v, u))
+        });
+        if let Some((u, sim)) = next {
+            self.push(v, u, sim);
+        }
+    }
+
+    /// [`Self::scan_event`] for `u`'s stream.
+    fn scan_user(&mut self, u: UserId, streams: &mut impl Streams, m: &impl Matching) {
+        let next = streams.next_event(u, |v| {
+            m.can_insert(v, u) && !self.popped.contains(self.key(v, u))
+        });
+        if let Some((v, sim)) = next {
+            self.push(v, u, sim);
+        }
+    }
+
+    fn push(&mut self, v: EventId, u: UserId, sim: f64) {
+        let key = self.key(v, u);
+        if self.pushed.insert(key) {
+            let score = match &mut self.noise {
+                Some(n) => {
+                    n.sims.insert(key, sim);
+                    sim * (1.0 - n.amplitude * n.rng.gen::<f64>())
+                }
+                None => sim,
+            };
+            self.heap.push(FrontierPair { score, v, u });
+        }
+    }
+}
+
+/// Heap entry: selection score first (the similarity itself unless
+/// noised), ties by `(v, u)` ascending for determinism.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapPair {
-    sim: f64,
+struct FrontierPair {
+    score: f64,
     v: EventId,
     u: UserId,
 }
 
-impl Eq for HeapPair {}
+impl Eq for FrontierPair {}
 
-impl PartialOrd for HeapPair {
+impl PartialOrd for FrontierPair {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for HeapPair {
+impl Ord for FrontierPair {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.sim
-            .total_cmp(&other.sim)
+        self.score
+            .total_cmp(&other.score)
             .then_with(|| other.v.cmp(&self.v))
             .then_with(|| other.u.cmp(&self.u))
     }

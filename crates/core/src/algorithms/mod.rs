@@ -23,17 +23,15 @@ pub mod bounds;
 pub mod dp;
 pub mod greedy;
 pub mod mincostflow;
-pub mod oracle;
 pub mod prune;
 pub mod random;
 
 pub use bounds::{optimality_gap, relaxation_upper_bound, trivial_upper_bound, GapReport};
 pub use dp::{dp_state_space, exact_dp, DpTooLarge};
-pub use greedy::{greedy, greedy_on, greedy_with, GreedyConfig};
+pub use greedy::{greedy, greedy_on, greedy_with, GreedyConfig, Streams};
 pub use mincostflow::{
     mincostflow, mincostflow_on, mincostflow_with, McfConfig, McfResult, RelaxationInfo, SspHeap,
 };
-pub use oracle::NeighborOracle;
 pub use prune::{
     exhaustive, prune, prune_on, prune_with, BudgetedPrune, PruneConfig, PruneResult, SearchStats,
 };

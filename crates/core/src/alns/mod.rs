@@ -13,9 +13,9 @@
 //! 2. **destroy** — evict its neighborhood from the incumbent
 //!    ([`AlnsState`] keeps every ledger incremental: `O(degree)` per
 //!    evict/insert, never a full rescan);
-//! 3. **repair** — re-match the freed region with Greedy-GEACC's
-//!    frontier discipline restricted to the destroyed nodes' oracle
-//!    streams;
+//! 3. **repair** — re-match the freed region with Greedy-GEACC's own
+//!    frontier, seeded with the destroyed nodes and their sorted rows
+//!    and columns, its scores noised;
 //! 4. **accept** — always when `MaxSum` does not fall; a worsening move
 //!    only with probability `exp(Δ/10⁻¹²)`, which is zero unless Δ is
 //!    float noise. Rejected moves are undone exactly (evict the

@@ -10,25 +10,23 @@
 //!   classic "worst removal", freeing capacity that low-value pairs are
 //!   squatting on.
 //! - **conflict-cluster** — pick a random assigned user, evict their
-//!   pairs, and walk each freed event's most-similar candidate stream
-//!   (the [`NeighborOracle`][crate::algorithms::NeighborOracle] yield
-//!   order, materialized as the graph's sorted rows) evicting
-//!   assignments that conflict-block those candidates: targeted
-//!   intensification where the conflict graph, not capacity, is what
-//!   binds the objective.
+//!   pairs, and walk the head of each freed event's similarity-sorted
+//!   row (the frontier's stream order) evicting assignments that
+//!   conflict-block those candidates: targeted intensification where
+//!   the conflict graph, not capacity, is what binds the objective.
 //!
-//! Repair replays Greedy-GEACC's frontier discipline (one pending
-//! candidate per node stream, skip-visited, skip-infeasible-at-scan —
-//! see [`greedy_on`][crate::algorithms::greedy_on]) but seeds streams
-//! only for the nodes the destroy touched, so its cost scales with the
-//! destroyed region's degree, not the instance.
+//! Repair runs Greedy-GEACC's frontier itself (one pending candidate
+//! per node stream, skip-visited, skip-infeasible-at-scan — see
+//! [`greedy_on`][crate::algorithms::greedy_on]) with a noisy score, but
+//! seeds streams only for the nodes the destroy touched, so its cost
+//! scales with the destroyed region's degree, not the instance.
 
 use super::state::AlnsState;
-use crate::engine::CandidateGraph;
+use crate::algorithms::greedy::{Frontier, Matching};
+use crate::engine::{CandidateGraph, RegionStreams};
 use crate::model::ids::{EventId, UserId};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// One evicted (or re-inserted) pair with its similarity — the undo
 /// record the acceptance step replays on reject.
@@ -159,8 +157,8 @@ fn conflict_cluster(
         let sim = graph.similarity(v, seed_user);
         state.evict(graph, v, seed_user, sim);
         evicted.push((v, seed_user, sim));
-        // Walk v's oracle stream: its most similar candidates, in the
-        // (sim desc, id asc) order the chunked NeighborOracle yields.
+        // Walk the head of v's sorted row: its most similar candidates,
+        // in the (sim desc, id asc) order the repair frontier streams.
         // Any assignment conflicting with v from a top candidate's
         // schedule blocks that candidate from attending v — evict it so
         // repair can reconsider the whole cluster.
@@ -183,33 +181,30 @@ fn conflict_cluster(
     }
 }
 
-/// Max-heap entry for the repair frontier: noised score first (equal to
-/// the similarity when the noise factor is zero), `(v, u)` ascending on
-/// ties — Greedy-GEACC's order, perturbed for diversification.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FrontierPair {
-    /// Selection key: `sim · (1 − noise·r)`, `r ~ U[0,1)` drawn at push.
-    score: f64,
-    /// The true similarity (what insertion credits the objective).
-    sim: f64,
-    v: EventId,
-    u: UserId,
+/// The search state as a repair frontier grows it: inserts go through
+/// the ledgers and onto the undo record.
+struct Repair<'s, 'g> {
+    state: &'s mut AlnsState,
+    graph: &'s CandidateGraph<'g>,
+    inserted: &'s mut Vec<Move>,
 }
 
-impl Eq for FrontierPair {}
-
-impl PartialOrd for FrontierPair {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Matching for Repair<'_, '_> {
+    fn event_open(&self, v: EventId) -> bool {
+        self.state.free_event_capacity(v) > 0
     }
-}
 
-impl Ord for FrontierPair {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.v.cmp(&self.v))
-            .then_with(|| other.u.cmp(&self.u))
+    fn user_open(&self, u: UserId) -> bool {
+        self.state.free_user_capacity(u) > 0
+    }
+
+    fn can_insert(&self, v: EventId, u: UserId) -> bool {
+        self.state.can_insert(self.graph, v, u)
+    }
+
+    fn insert(&mut self, v: EventId, u: UserId, sim: f64) {
+        self.state.insert(self.graph, v, u, sim);
+        self.inserted.push((v, u, sim));
     }
 }
 
@@ -219,11 +214,12 @@ impl Ord for FrontierPair {
 ///
 /// `noise` ∈ [0, 1) perturbs each candidate's selection score by an
 /// independent uniform discount (the Ropke–Pisinger "noisy greedy"
-/// repair). Without it a pure-greedy repair deterministically rebuilds
-/// the locally-optimal region it just destroyed and the search never
-/// moves; with it, repair proposes near-greedy alternatives and the
-/// annealing acceptance decides which survive. `noise = 0.0` recovers
-/// the exact Greedy-GEACC frontier order.
+/// repair), drawn from `rng` at each push. Without it a pure-greedy
+/// repair deterministically rebuilds the locally-optimal region it just
+/// destroyed and the search never moves; with it, repair proposes
+/// near-greedy alternatives and the annealing acceptance decides which
+/// survive. `noise = 0.0` recovers the exact Greedy-GEACC frontier
+/// order.
 ///
 /// The skip discipline is sound for the same monotonicity reason as in
 /// the full greedy: repair only inserts, so capacities only shrink and
@@ -237,98 +233,27 @@ pub(crate) fn repair(
     rng: &mut StdRng,
     noise: f64,
 ) {
-    let inst = graph.instance();
-    let nu = inst.num_users() as u64;
-    let key = |v: EventId, u: UserId| v.0 as u64 * nu + u.0 as u64;
-
     // The region: every node an eviction touched, deduplicated.
-    let mut region_events: Vec<EventId> = evicted.iter().map(|&(v, _, _)| v).collect();
-    let mut region_users: Vec<UserId> = evicted.iter().map(|&(_, u, _)| u).collect();
-    region_events.sort_unstable();
-    region_events.dedup();
-    region_users.sort_unstable();
-    region_users.dedup();
-
-    let mut event_pos: HashMap<EventId, usize> =
-        region_events.iter().map(|&v| (v, 0usize)).collect();
-    let mut user_pos: HashMap<UserId, usize> = region_users.iter().map(|&u| (u, 0usize)).collect();
-    let mut pushed: HashSet<u64> = HashSet::new();
-    let mut popped: HashSet<u64> = HashSet::new();
-    let mut heap: BinaryHeap<FrontierPair> = BinaryHeap::new();
-
-    macro_rules! advance_event {
-        ($v:expr) => {{
-            let v: EventId = $v;
-            if let Some(pos) = event_pos.get_mut(&v) {
-                let (users, sims) = graph.sorted_row(v);
-                while *pos < users.len() {
-                    let (u, sim) = (UserId(users[*pos]), sims[*pos]);
-                    *pos += 1;
-                    let k = key(v, u);
-                    if popped.contains(&k) || state.contains(v, u) {
-                        continue;
-                    }
-                    if !state.can_insert(graph, v, u) {
-                        continue; // monotone: can never become feasible
-                    }
-                    if pushed.insert(k) {
-                        let score = sim * (1.0 - noise * rng.gen::<f64>());
-                        heap.push(FrontierPair { score, sim, v, u });
-                    }
-                    break;
-                }
-            }
-        }};
-    }
-    macro_rules! advance_user {
-        ($u:expr) => {{
-            let u: UserId = $u;
-            if let Some(pos) = user_pos.get_mut(&u) {
-                let (events, sims) = graph.sorted_col(u);
-                while *pos < events.len() {
-                    let (v, sim) = (EventId(events[*pos]), sims[*pos]);
-                    *pos += 1;
-                    let k = key(v, u);
-                    if popped.contains(&k) || state.contains(v, u) {
-                        continue;
-                    }
-                    if !state.can_insert(graph, v, u) {
-                        continue;
-                    }
-                    if pushed.insert(k) {
-                        let score = sim * (1.0 - noise * rng.gen::<f64>());
-                        heap.push(FrontierPair { score, sim, v, u });
-                    }
-                    break;
-                }
-            }
-        }};
-    }
-
-    for &v in &region_events {
-        if state.free_event_capacity(v) > 0 {
-            advance_event!(v);
-        }
-    }
-    for &u in &region_users {
-        if state.free_user_capacity(u) > 0 {
-            advance_user!(u);
-        }
-    }
-
-    while let Some(FrontierPair { sim, v, u, .. }) = heap.pop() {
-        popped.insert(key(v, u));
-        if state.can_insert(graph, v, u) {
-            state.insert(graph, v, u, sim);
-            inserted.push((v, u, sim));
-        }
-        if state.free_event_capacity(v) > 0 {
-            advance_event!(v);
-        }
-        if state.free_user_capacity(u) > 0 {
-            advance_user!(u);
-        }
-    }
+    let mut events: Vec<EventId> = evicted.iter().map(|&(v, _, _)| v).collect();
+    let mut users: Vec<UserId> = evicted.iter().map(|&(_, u, _)| u).collect();
+    events.sort_unstable();
+    events.dedup();
+    users.sort_unstable();
+    users.dedup();
+    let inst = graph.instance();
+    let mut streams = RegionStreams::new(inst, Some(graph.flats()), &events, &users);
+    let mut matching = Repair {
+        state,
+        graph,
+        inserted,
+    };
+    Frontier::region(inst, Some((rng, noise))).run(
+        events,
+        users,
+        &mut streams,
+        &mut matching,
+        None,
+    );
 }
 
 #[cfg(test)]

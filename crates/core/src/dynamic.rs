@@ -13,10 +13,13 @@
 //!    [`Mutation::AddConflict`] drops the lower-similarity side per
 //!    affected user, ties toward keeping the lower event id);
 //! 3. freed capacity is re-offered to the displaced/affected frontier
-//!    through the same best-first machinery Greedy-GEACC uses — a
-//!    [`NeighborOracle`] stream per affected node feeding a heap of
-//!    candidate pairs, popped in (similarity desc, event id asc, user id
-//!    asc) order.
+//!    by Greedy-GEACC's own best-first frontier, seeded with the
+//!    affected nodes: one similarity-sorted stream per node feeding a
+//!    heap of candidate pairs, popped in (similarity desc, event id asc,
+//!    user id asc) order. The streams are the candidate graph's sorted
+//!    rows and columns from the flats the session already holds, merged
+//!    with the ids added since ([`RegionStreams`]); a write never
+//!    builds, extends or copies the flats.
 //!
 //! Repair is **add-only**: it never disturbs surviving pairs, so every
 //! intermediate state is feasible and the served arrangement is stable
@@ -43,15 +46,15 @@
 //! one non-logged action — persistence layers snapshot the arrangement
 //! alongside the log and reinstall it via [`IncrementalArranger::install`].
 
-use crate::algorithms::{greedy_on, GreedyConfig, NeighborOracle};
-use crate::engine::{CandidateGraph, GraphFlats};
+use crate::algorithms::greedy::{Frontier, Matching};
+use crate::algorithms::{greedy_on, GreedyConfig};
+use crate::engine::{CandidateGraph, GraphFlats, RegionStreams};
 use crate::model::arrangement::{Arrangement, Violation};
 use crate::model::ids::{EventId, UserId};
 use crate::model::instance::{Instance, InstanceError};
 use crate::parallel::Threads;
 use crate::runtime::{Outcome, SolverPipeline};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Which side of the bipartition a [`Mutation::SetCapacity`] targets.
@@ -175,45 +178,33 @@ impl RepairReport {
     }
 }
 
-/// A candidate pair proposed by an affected node's oracle stream during
-/// repair. Total order: similarity descending, then event id ascending,
-/// user id ascending, event-sourced before user-sourced — fully
-/// deterministic, no two distinct candidates compare equal.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    sim: f64,
-    v: EventId,
-    u: UserId,
-    from_event: bool,
+/// The standing arrangement as a repair frontier grows it, under the
+/// live instance's capacities and conflicts. Every candidate a stream
+/// offers has a positive similarity, so none is re-evaluated.
+struct Growing<'a> {
+    inst: &'a Instance,
+    arrangement: &'a mut Arrangement,
 }
 
-impl Candidate {
-    fn key(&self) -> (u32, u32, bool) {
-        (self.v.0, self.u.0, !self.from_event)
+impl Matching for Growing<'_> {
+    fn event_open(&self, v: EventId) -> bool {
+        self.arrangement.attendees_of(v) < self.inst.event_capacity(v)
     }
-}
 
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+    fn user_open(&self, u: UserId) -> bool {
+        (self.arrangement.events_of(u).len() as u32) < self.inst.user_capacity(u)
     }
-}
 
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn can_insert(&self, v: EventId, u: UserId) -> bool {
+        let events = self.arrangement.events_of(u);
+        self.user_open(u)
+            && self.event_open(v)
+            && !events.contains(&v)
+            && !self.inst.conflicts().conflicts_with_any(v, events)
     }
-}
 
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap pops the maximum: highest sim first, then the
-        // *reversed* id order so lower ids win ties.
-        self.sim
-            .total_cmp(&other.sim)
-            .then_with(|| other.key().cmp(&self.key()))
+    fn insert(&mut self, v: EventId, u: UserId, sim: f64) {
+        self.arrangement.push_unchecked(v, u, sim);
     }
 }
 
@@ -235,6 +226,7 @@ pub struct IncrementalArranger {
     /// append ids; capacity and conflict edits live outside the sim
     /// model), so a stale cache is extended via [`GraphFlats::extended`]
     /// at drift-proportional cost instead of rebuilt from scratch.
+    /// Repair streams read them as they stand, whatever their epoch.
     flats: Option<Arc<GraphFlats>>,
 }
 
@@ -658,81 +650,25 @@ impl IncrementalArranger {
     }
 
     /// Best-first localized repair: re-offer freed capacity to the
-    /// affected frontier. Each affected node contributes its
-    /// [`NeighborOracle`] stream and candidates are added
-    /// greedily in (sim desc, event asc, user asc) order, exactly
-    /// Greedy-GEACC's discipline restricted to the frontier. Add-only:
-    /// surviving pairs are never disturbed. Returns pairs added.
+    /// affected frontier. Greedy-GEACC's frontier runs seeded with the
+    /// affected nodes, each streaming its candidates from the session's
+    /// flats plus the ids added since ([`RegionStreams`]); without flats
+    /// (after [`Self::resume`]) every stream is read from the instance.
+    /// Add-only: surviving pairs are never disturbed. Returns pairs
+    /// added.
     fn repair(&mut self, mut users: Vec<UserId>, mut events: Vec<EventId>) -> usize {
         users.sort_unstable();
         users.dedup();
         events.sort_unstable();
         events.dedup();
-        if users.is_empty() && events.is_empty() {
-            return 0;
-        }
-
-        let mut oracle = NeighborOracle::new(&self.inst);
-        let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-        for &v in &events {
-            if self.arrangement.attendees_of(v) < self.inst.event_capacity(v) {
-                if let Some((u, sim)) = oracle.next_user_for_event(v) {
-                    heap.push(Candidate {
-                        sim,
-                        v,
-                        u,
-                        from_event: true,
-                    });
-                }
-            }
-        }
-        for &u in &users {
-            if (self.arrangement.events_of(u).len() as u32) < self.inst.user_capacity(u) {
-                if let Some((v, sim)) = oracle.next_event_for_user(u) {
-                    heap.push(Candidate {
-                        sim,
-                        v,
-                        u,
-                        from_event: false,
-                    });
-                }
-            }
-        }
-
-        let mut added = 0;
-        while let Some(c) = heap.pop() {
-            if self.arrangement.can_add(&self.inst, c.v, c.u) {
-                self.arrangement.push_unchecked(c.v, c.u, c.sim);
-                added += 1;
-            }
-            // Advance the proposing stream while its node still has
-            // spare capacity. Capacity only shrinks during repair, so a
-            // candidate skipped for a full counterpart never becomes
-            // addable later — no re-queueing needed.
-            if c.from_event {
-                if self.arrangement.attendees_of(c.v) < self.inst.event_capacity(c.v) {
-                    if let Some((u, sim)) = oracle.next_user_for_event(c.v) {
-                        heap.push(Candidate {
-                            sim,
-                            v: c.v,
-                            u,
-                            from_event: true,
-                        });
-                    }
-                }
-            } else if (self.arrangement.events_of(c.u).len() as u32) < self.inst.user_capacity(c.u)
-            {
-                if let Some((v, sim)) = oracle.next_event_for_user(c.u) {
-                    heap.push(Candidate {
-                        sim,
-                        v,
-                        u: c.u,
-                        from_event: false,
-                    });
-                }
-            }
-        }
-        added
+        let mut streams = RegionStreams::new(&self.inst, self.flats.as_deref(), &events, &users);
+        let before = self.arrangement.len();
+        let mut growing = Growing {
+            inst: &self.inst,
+            arrangement: &mut self.arrangement,
+        };
+        Frontier::region(&self.inst, None).run(events, users, &mut streams, &mut growing, None);
+        self.arrangement.len() - before
     }
 }
 
@@ -922,6 +858,44 @@ mod tests {
         assert_eq!(report.reassigned, 1);
         assert!(a.arrangement().contains(EventId(0), UserId(1)));
         feasible(&a);
+    }
+
+    #[test]
+    fn writes_never_touch_the_flats() {
+        // Growth and every other kind of write: repair streams the new
+        // ids from the instance and leaves the epoch-0 flats as they are.
+        let mut a = arranger();
+        let flats = Arc::clone(a.flats.as_ref().expect("new keeps its Greedy's flats"));
+        let mutations = [
+            Mutation::AddUser {
+                attrs: vec![0.95, 0.9, 0.85],
+                capacity: 2,
+            },
+            Mutation::AddEvent {
+                attrs: vec![0.9; 6],
+                capacity: 3,
+                conflicts: vec![EventId(0)],
+            },
+            Mutation::RemoveUser { user: UserId(0) },
+            Mutation::CloseEvent { event: EventId(1) },
+            Mutation::AddUser {
+                attrs: vec![0.5, 0.6, 0.7, 0.8],
+                capacity: 1,
+            },
+            Mutation::SetCapacity {
+                side: Side::Event,
+                id: 3,
+                capacity: 5,
+            },
+        ];
+        let mut reassigned = 0;
+        for m in mutations {
+            reassigned += a.apply(m).unwrap().reassigned;
+            feasible(&a);
+        }
+        assert!(reassigned > 0, "the added ids must be offered");
+        assert!(Arc::ptr_eq(a.flats.as_ref().unwrap(), &flats));
+        assert_eq!((flats.num_events(), flats.num_users()), (3, 5));
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!   oracle, so greedy's frontier scans and prune's Algorithm 4
 //!   enumeration read straight off a slice.
 //!
+//! [`RegionStreams`] serves the same order to the repair frontiers of a
+//! *grown* instance from flats built for an earlier epoch: each node's
+//! sorted row or column, merged with a sorted tail of the ids added
+//! since (the same tail [`GraphFlats::extended`] appends), so a repair
+//! never builds, extends or copies the flats.
+//!
 //! The arrays themselves live in an owned, `Arc`-shareable
 //! [`GraphFlats`]; a [`CandidateGraph`] is a `(instance, flats)` pair.
 //! That split is what lets the serving layer pin one epoch's graph
@@ -62,9 +68,11 @@
 //! drift, not instance size — plus an `O(P)` memcpy of the surviving
 //! arrays.
 
+use crate::algorithms::Streams;
 use crate::model::ids::{EventId, UserId};
 use crate::parallel::{split_ranges, Threads, SIM_CELLS_PER_WORKER};
 use crate::Instance;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Join a scoped worker, re-raising its panic payload verbatim (so a
@@ -114,6 +122,18 @@ pub struct CandidateGraph<'a> {
 #[inline]
 fn sim_desc_id_asc(x: &(f64, u32), y: &(f64, u32)) -> std::cmp::Ordering {
     y.0.total_cmp(&x.0).then(x.1.cmp(&y.1))
+}
+
+/// `(sim, id)` of every id in `ids` with a positive similarity, in id
+/// order: what a row or column of a grown instance holds beyond flats
+/// built before the growth. Point queries are bit-identical to
+/// `similarity_row` cells (both dispatch to the same model lookup).
+fn positive_tail(ids: Range<usize>, sim: impl Fn(u32) -> f64) -> Vec<(f64, u32)> {
+    ids.filter_map(|id| {
+        let s = sim(id as u32);
+        (s > 0.0).then_some((s, id as u32))
+    })
+    .collect()
 }
 
 /// Pass 1 worker: count positives per row over `start..end`, plus this
@@ -168,7 +188,7 @@ fn place_rows(inst: &Instance, start: usize, end: usize, row_off: &[usize], out:
             }
         }
         debug_assert_eq!(i, b, "count pass disagrees with place pass");
-        // Sorted view: similarity desc, ties id asc (the oracle's
+        // Sorted view: similarity desc, ties id asc (the frontier's
         // stream order).
         scratch.clear();
         scratch.extend(
@@ -419,18 +439,10 @@ impl GraphFlats {
             return self.clone();
         }
 
-        // New entries appended to old rows: users nu0..nu1, evaluated
-        // as point queries (bit-identical to `similarity_row` cells —
-        // both dispatch to the same model lookup). Kept in id order.
-        let mut tails: Vec<Vec<(f64, u32)>> = vec![Vec::new(); nv0];
-        for (v, tail) in tails.iter_mut().enumerate() {
-            for u in nu0..nu1 {
-                let s = inst.similarity(EventId(v as u32), UserId(u as u32));
-                if s > 0.0 {
-                    tail.push((s, u as u32));
-                }
-            }
-        }
+        // New entries appended to old rows: users nu0..nu1, in id order.
+        let tails: Vec<Vec<(f64, u32)>> = (0..nv0 as u32)
+            .map(|v| positive_tail(nu0..nu1, |u| inst.similarity(EventId(v), UserId(u))))
+            .collect();
 
         // Brand-new rows nv0..nv1: counted densely like a fresh build
         // (their columns span all of 0..nu1).
@@ -625,6 +637,20 @@ impl GraphFlats {
         self.num_events() == inst.num_events() && self.num_users() == inst.num_users()
     }
 
+    /// Event `v`'s candidates by similarity desc, ties id asc.
+    #[inline]
+    pub fn sorted_row(&self, v: EventId) -> (&[u32], &[f64]) {
+        let (a, b) = (self.row_off[v.index()], self.row_off[v.index() + 1]);
+        (&self.sorted_row_user[a..b], &self.sorted_row_sim[a..b])
+    }
+
+    /// User `u`'s candidates by similarity desc, ties id asc.
+    #[inline]
+    pub fn sorted_col(&self, u: UserId) -> (&[u32], &[f64]) {
+        let (a, b) = (self.col_off[u.index()], self.col_off[u.index() + 1]);
+        (&self.sorted_col_event[a..b], &self.sorted_col_sim[a..b])
+    }
+
     /// `sim(v, u)` as stored: the model's value for positive pairs,
     /// `0.0` for absent ones. Similarities live in `[0, 1]`, so absent
     /// means `sim <= 0` and the stored value always equals the model's
@@ -713,17 +739,15 @@ impl<'a> CandidateGraph<'a> {
     }
 
     /// Event `v`'s candidates by similarity desc, ties id asc.
+    #[inline]
     pub fn sorted_row(&self, v: EventId) -> (&[u32], &[f64]) {
-        let f = &*self.flats;
-        let (a, b) = (f.row_off[v.index()], f.row_off[v.index() + 1]);
-        (&f.sorted_row_user[a..b], &f.sorted_row_sim[a..b])
+        self.flats.sorted_row(v)
     }
 
     /// User `u`'s candidates by similarity desc, ties id asc.
+    #[inline]
     pub fn sorted_col(&self, u: UserId) -> (&[u32], &[f64]) {
-        let f = &*self.flats;
-        let (a, b) = (f.col_off[u.index()], f.col_off[u.index() + 1]);
-        (&f.sorted_col_event[a..b], &f.sorted_col_sim[a..b])
+        self.flats.sorted_col(u)
     }
 
     /// Number of positive-similarity candidates of event `v`.
@@ -754,6 +778,129 @@ impl<'a> CandidateGraph<'a> {
         for (&u, &s) in users.iter().zip(sims.iter()) {
             out[u as usize] = s;
         }
+    }
+}
+
+/// The [`Streams`] of a repair region: for each of its nodes, the
+/// similarity-sorted row (or column) of `flats`, merged with the sorted
+/// tail of counterparts the flats do not cover. `flats` may date from
+/// any earlier epoch of `inst` (ids are only ever appended, and no
+/// pair's similarity changes), or be absent, which covers nothing; a
+/// node the flats do not hold streams its whole row or column from the
+/// tail. Every stream equals the sorted row or column of
+/// [`GraphFlats::build`] of `inst`, bit for bit. A tail is evaluated on
+/// the node's first use, so seeds that are never walked cost nothing.
+pub struct RegionStreams<'a> {
+    inst: &'a Instance,
+    flats: Option<&'a GraphFlats>,
+    /// The region's events, ascending, with their streams once opened.
+    events: Vec<(EventId, Option<Merge<'a>>)>,
+    users: Vec<(UserId, Option<Merge<'a>>)>,
+}
+
+/// One node's stream: a sorted run of the flats merged with a sorted
+/// tail. The two hold disjoint ids, so the merge order is strict.
+struct Merge<'a> {
+    run: (&'a [u32], &'a [f64]),
+    tail: Vec<(f64, u32)>,
+    /// Next positions in `run` and `tail`.
+    at: (usize, usize),
+}
+
+impl<'a> Merge<'a> {
+    fn new(run: (&'a [u32], &'a [f64]), mut tail: Vec<(f64, u32)>) -> Self {
+        tail.sort_unstable_by(sim_desc_id_asc);
+        Merge {
+            run,
+            tail,
+            at: (0, 0),
+        }
+    }
+
+    /// Consume the stream through the first id `keep` accepts.
+    fn next(&mut self, mut keep: impl FnMut(u32) -> bool) -> Option<(u32, f64)> {
+        loop {
+            let (i, j) = self.at;
+            let from_run = i < self.run.0.len();
+            let next = match self.tail.get(j) {
+                Some(t)
+                    if !from_run || sim_desc_id_asc(t, &(self.run.1[i], self.run.0[i])).is_lt() =>
+                {
+                    self.at.1 += 1;
+                    *t
+                }
+                _ if from_run => {
+                    self.at.0 += 1;
+                    (self.run.1[i], self.run.0[i])
+                }
+                _ => return None,
+            };
+            if keep(next.1) {
+                return Some((next.1, next.0));
+            }
+        }
+    }
+}
+
+impl<'a> RegionStreams<'a> {
+    /// Streams for `events` and `users` (each ascending, no repeats) of
+    /// `inst`, served from `flats` where they cover it.
+    pub fn new(
+        inst: &'a Instance,
+        flats: Option<&'a GraphFlats>,
+        events: &[EventId],
+        users: &[UserId],
+    ) -> Self {
+        debug_assert!(events.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(users.windows(2).all(|w| w[0] < w[1]));
+        RegionStreams {
+            inst,
+            flats,
+            events: events.iter().map(|&v| (v, None)).collect(),
+            users: users.iter().map(|&u| (u, None)).collect(),
+        }
+    }
+}
+
+impl Streams for RegionStreams<'_> {
+    fn next_user(
+        &mut self,
+        v: EventId,
+        mut keep: impl FnMut(UserId) -> bool,
+    ) -> Option<(UserId, f64)> {
+        let (inst, flats) = (self.inst, self.flats);
+        let i = self.events.binary_search_by_key(&v, |e| e.0).ok()?;
+        let stream = self.events[i].1.get_or_insert_with(|| {
+            let (run, from) = match flats {
+                Some(f) if v.index() < f.num_events() => (f.sorted_row(v), f.num_users()),
+                _ => ((&[][..], &[][..]), 0),
+            };
+            let tail = positive_tail(from..inst.num_users(), |u| inst.similarity(v, UserId(u)));
+            Merge::new(run, tail)
+        });
+        stream
+            .next(|u| keep(UserId(u)))
+            .map(|(u, s)| (UserId(u), s))
+    }
+
+    fn next_event(
+        &mut self,
+        u: UserId,
+        mut keep: impl FnMut(EventId) -> bool,
+    ) -> Option<(EventId, f64)> {
+        let (inst, flats) = (self.inst, self.flats);
+        let i = self.users.binary_search_by_key(&u, |e| e.0).ok()?;
+        let stream = self.users[i].1.get_or_insert_with(|| {
+            let (run, from) = match flats {
+                Some(f) if u.index() < f.num_users() => (f.sorted_col(u), f.num_events()),
+                _ => ((&[][..], &[][..]), 0),
+            };
+            let tail = positive_tail(from..inst.num_events(), |v| inst.similarity(EventId(v), u));
+            Merge::new(run, tail)
+        });
+        stream
+            .next(|v| keep(EventId(v)))
+            .map(|(v, s)| (EventId(v), s))
     }
 }
 
@@ -985,6 +1132,75 @@ mod tests {
         assert!(old
             .extended(&events_only, Threads::single())
             .bit_eq(&GraphFlats::build(&events_only, Threads::single())));
+    }
+
+    /// Drain `v`'s stream (`None` once exhausted, and again after).
+    fn drain_row(streams: &mut RegionStreams, v: EventId) -> Vec<(u32, u64)> {
+        let out = std::iter::from_fn(|| streams.next_user(v, |_| true))
+            .map(|(u, s)| (u.0, s.to_bits()))
+            .collect();
+        assert_eq!(streams.next_user(v, |_| true), None, "exhausted stays so");
+        out
+    }
+
+    fn bits(run: (&[u32], &[f64])) -> Vec<(u32, u64)> {
+        run.0
+            .iter()
+            .zip(run.1)
+            .map(|(&id, s)| (id, s.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn region_streams_merge_old_flats_with_the_added_ids() {
+        // Flats of a 12×30 prefix serve the grown 17×41 instance: old
+        // rows and columns merge with their tails, new ones are all tail.
+        let (old_inst, new_inst) = (banded_prefix(12, 30), banded_prefix(17, 41));
+        let old = GraphFlats::build(&old_inst, Threads::single());
+        let built = GraphFlats::build(&new_inst, Threads::single());
+        let events: Vec<EventId> = new_inst.events().collect();
+        let users: Vec<UserId> = new_inst.users().collect();
+        for flats in [Some(&old), None] {
+            let mut streams = RegionStreams::new(&new_inst, flats, &events, &users);
+            for &v in &events {
+                assert_eq!(drain_row(&mut streams, v), bits(built.sorted_row(v)));
+            }
+            for &u in &users {
+                let col: Vec<(u32, u64)> = std::iter::from_fn(|| streams.next_event(u, |_| true))
+                    .map(|(v, s)| (v.0, s.to_bits()))
+                    .collect();
+                assert_eq!(col, bits(built.sorted_col(u)), "user {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn region_streams_order_ties_and_skip_nonpositive_pairs() {
+        let m = SimMatrix::from_rows(&[vec![0.5, 0.0, 0.9, 0.5, 0.2], vec![0.0; 5]]);
+        let inst =
+            Instance::from_matrix(m, vec![1, 1], vec![1; 5], ConflictGraph::empty(2)).unwrap();
+        let mut streams = RegionStreams::new(&inst, None, &[EventId(0), EventId(1)], &[]);
+        // Similarity descending, equal similarities by id ascending, and
+        // the zero-similarity user never offered.
+        let order: Vec<u32> = drain_row(&mut streams, EventId(0))
+            .iter()
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(order, vec![2, 0, 3, 4]);
+        assert!(drain_row(&mut streams, EventId(1)).is_empty());
+        // `keep` consumes what it rejects; a node outside the region has
+        // no stream.
+        let mut streams = RegionStreams::new(&inst, None, &[EventId(0)], &[]);
+        assert_eq!(
+            streams.next_user(EventId(0), |u| u.0 == 3),
+            Some((UserId(3), 0.5))
+        );
+        assert_eq!(
+            streams.next_user(EventId(0), |_| true),
+            Some((UserId(4), 0.2))
+        );
+        assert_eq!(streams.next_user(EventId(1), |_| true), None);
+        assert_eq!(streams.next_event(UserId(0), |_| true), None);
     }
 
     #[test]

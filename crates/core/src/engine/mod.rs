@@ -2,10 +2,10 @@
 //! algorithm table, one dispatch path.
 //!
 //! Before this layer existed, every consumer built its own view of the
-//! sim>0 bipartite graph (greedy walked a `NeighborOracle`, mincostflow
-//! densified rows, the exact search kept private adjacency) and chose
-//! between plain and budgeted free functions by hand. The engine
-//! factors that into three pieces:
+//! sim>0 bipartite graph (greedy walked lazily refilled similarity
+//! streams, mincostflow densified rows, the exact search kept private
+//! adjacency) and chose between plain and budgeted free functions by
+//! hand. The engine factors that into three pieces:
 //!
 //! - [`CandidateGraph`] — a borrowed CSR of every positive-similarity
 //!   `(event, user)` pair, with id-ascending rows, similarity-sorted
@@ -31,6 +31,6 @@ mod graph;
 mod solver;
 mod stats;
 
-pub use graph::{CandidateGraph, GraphFlats};
+pub use graph::{CandidateGraph, GraphFlats, RegionStreams};
 pub use solver::{refine_on, solve_instance, solve_on, SolveParams};
 pub use stats::{EngineStats, SolverTiming};

@@ -6,12 +6,14 @@
 //! matrices) so the tests cover the full pipeline the benchmarks run:
 //! attribute sampling → similarity model → conflict graph → algorithm.
 
-use geacc_core::algorithms::{greedy_with, prune_with, GreedyConfig, NeighborOracle, PruneConfig};
-use geacc_core::engine::CandidateGraph;
+use geacc_core::algorithms::{greedy_with, prune_with, GreedyConfig, PruneConfig, Streams};
+use geacc_core::engine::{GraphFlats, RegionStreams};
 use geacc_core::parallel::Threads;
-use geacc_core::{EventId, UserId};
+use geacc_core::{DynamicConfig, EventId, IncrementalArranger, Instance, Mutation, Side, UserId};
 use geacc_datagen::{CapDistribution, SyntheticConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A generator configuration small enough for the exact search: tiny
 /// event set, tight capacities, low dimension (spread-out similarities
@@ -36,8 +38,8 @@ fn small_config() -> impl Strategy<Value = SyntheticConfig> {
         })
 }
 
-/// Larger instances for the polynomial paths (greedy, the oracle),
-/// where exact search would not terminate.
+/// Larger instances for the polynomial paths (greedy, the repair
+/// streams), where exact search would not terminate.
 fn medium_config() -> impl Strategy<Value = SyntheticConfig> {
     (
         5usize..=20,
@@ -56,8 +58,8 @@ fn medium_config() -> impl Strategy<Value = SyntheticConfig> {
         })
 }
 
-/// Assert that a drained oracle stream equals a sorted CSR slice: same
-/// ids, same similarity bits, same length.
+/// Assert that a drained stream equals a sorted CSR slice: same ids,
+/// same similarity bits, same length.
 fn assert_stream_eq(
     what: String,
     streamed: impl Iterator<Item = (u32, f64)>,
@@ -78,16 +80,54 @@ fn assert_stream_eq(
     );
 }
 
-/// Fully drain `oracle`: every event's stream must be the graph's sorted
-/// row and every user's stream its sorted column.
-fn assert_oracle_matches_graph(graph: &CandidateGraph, oracle: &mut NeighborOracle) {
-    for v in (0..graph.num_events() as u32).map(EventId) {
-        let streamed = std::iter::from_fn(|| oracle.next_user_for_event(v)).map(|(u, s)| (u.0, s));
-        assert_stream_eq(format!("event {v:?}"), streamed, graph.sorted_row(v));
+/// One mutation drawn from `seed`, valid for `inst`; three in five
+/// grow the instance (attributes U[0, 10⁴], as the generator draws).
+fn growth_mutation(seed: u64, inst: &Instance) -> Mutation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (nv, nu) = (inst.num_events() as u32, inst.num_users() as u32);
+    let attrs: Vec<f64> = (0..inst.dim()).map(|_| rng.gen::<f64>() * 1e4).collect();
+    match rng.gen_range(0..10u32) {
+        0..=3 => Mutation::AddUser {
+            attrs,
+            capacity: rng.gen_range(0..=4),
+        },
+        4 | 5 => Mutation::AddEvent {
+            attrs,
+            capacity: rng.gen_range(0..=20),
+            conflicts: vec![EventId(rng.gen_range(0..nv))],
+        },
+        6 => Mutation::RemoveUser {
+            user: UserId(rng.gen_range(0..nu)),
+        },
+        7 => Mutation::CloseEvent {
+            event: EventId(rng.gen_range(0..nv)),
+        },
+        8 => Mutation::AddConflict {
+            a: EventId(rng.gen_range(0..nv)),
+            b: EventId(rng.gen_range(0..nv)),
+        },
+        _ => Mutation::SetCapacity {
+            side: Side::User,
+            id: rng.gen_range(0..nu),
+            capacity: rng.gen_range(0..=4),
+        },
     }
-    for u in (0..graph.num_users() as u32).map(UserId) {
-        let streamed = std::iter::from_fn(|| oracle.next_event_for_user(u)).map(|(v, s)| (v.0, s));
-        assert_stream_eq(format!("user {u:?}"), streamed, graph.sorted_col(u));
+}
+
+/// Fully drain every node's stream: each event's must be `built`'s
+/// sorted row and each user's its sorted column.
+fn assert_streams_match(inst: &Instance, flats: Option<&GraphFlats>, built: &GraphFlats) {
+    let events: Vec<EventId> = inst.events().collect();
+    let users: Vec<UserId> = inst.users().collect();
+    let mut streams = RegionStreams::new(inst, flats, &events, &users);
+    for &v in &events {
+        let streamed = std::iter::from_fn(|| streams.next_user(v, |_| true)).map(|(u, s)| (u.0, s));
+        assert_stream_eq(format!("event {v:?}"), streamed, built.sorted_row(v));
+    }
+    for &u in &users {
+        let streamed =
+            std::iter::from_fn(|| streams.next_event(u, |_| true)).map(|(v, s)| (v.0, s));
+        assert_stream_eq(format!("user {u:?}"), streamed, built.sorted_col(u));
     }
 }
 
@@ -156,16 +196,28 @@ proptest! {
         }
     }
 
-    /// The lazy `NeighborOracle` that localized repair walks yields
-    /// exactly the candidate graph's sorted rows and columns that
-    /// Greedy-GEACC and ALNS walk, in both directions, to exhaustion,
-    /// whether the graph was built on 1 worker or 4.
+    /// The streams live repair walks after a run of mutations that grow
+    /// the instance — the epoch-0 flats the session keeps, merged with
+    /// the ids added since, or no flats at all, as after a resume — are
+    /// exactly the sorted rows and columns of flats built from the live
+    /// instance, in both directions, to exhaustion, at 1 and 4 workers.
     #[test]
-    fn oracle_streams_match_candidate_graph(config in medium_config()) {
-        let inst = config.generate();
+    fn repair_streams_match_candidate_graph(
+        config in medium_config(),
+        seeds in proptest::collection::vec(0u64..u64::MAX, 1..24),
+    ) {
+        let base = config.generate();
+        let mut arranger = IncrementalArranger::new(base.clone(), DynamicConfig::default());
+        for seed in seeds {
+            let mutation = growth_mutation(seed, arranger.instance());
+            arranger.apply(mutation).expect("drawn mutations are valid");
+        }
+        let live = arranger.instance();
         for t in [1usize, 4] {
-            let graph = CandidateGraph::build(&inst, Threads::new(t));
-            assert_oracle_matches_graph(&graph, &mut NeighborOracle::new(&inst));
+            let built = GraphFlats::build(live, Threads::new(t));
+            let epoch0 = GraphFlats::build(&base, Threads::new(t));
+            assert_streams_match(live, Some(&epoch0), &built);
+            assert_streams_match(live, None, &built);
         }
     }
 }

@@ -69,7 +69,7 @@ use geacc_core::{
     Arrangement, CandidateGraph, DynamicConfig, EngineStats, EventId, GraphFlats,
     IncrementalArranger, Instance, Mutation, Outcome, SolveBudget, SolverPipeline, UserId,
 };
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -586,6 +586,18 @@ fn summary(arranger: &IncrementalArranger, fingerprint: u64) -> Result<Value, Se
         field("needs_rebuild", &arranger.needs_rebuild())?,
         field("fingerprint", &fingerprint)?,
     ]))
+}
+
+/// The file the `snapshot` op writes, as `restore` reads it: typed, so
+/// the attribute rows stay packed instead of becoming one JSON node per
+/// float. The `epoch` the file also carries is `log.len()` and is not
+/// read back.
+#[derive(Deserialize)]
+struct SnapshotFile {
+    instance: Instance,
+    log: Vec<Mutation>,
+    arrangement: Arrangement,
+    baseline: f64,
 }
 
 impl Service {
@@ -1504,21 +1516,15 @@ impl Service {
             .ok_or_else(|| bad_request("restore needs a \"path\""))?;
         let text = std::fs::read_to_string(path)
             .map_err(|e| ServiceError::new("io", format!("reading {path}: {e}")))?;
-        let doc: Value = serde_json::from_str(&text)
+        let SnapshotFile {
+            instance: base,
+            log,
+            arrangement,
+            baseline,
+        } = serde_json::from_str(&text)
             .map_err(|e| bad_request(format!("bad snapshot in {path}: {e}")))?;
-        let pick = |key: &str| {
-            protocol::get(&doc, key)
-                .cloned()
-                .ok_or_else(|| bad_request(format!("snapshot {path} missing {key:?}")))
-        };
-        let base: Instance = serde_json::from_value(pick("instance")?)
-            .map_err(|e| bad_request(format!("bad snapshot instance: {e}")))?;
-        let log: Vec<Mutation> = serde_json::from_value(pick("log")?)
-            .map_err(|e| bad_request(format!("bad snapshot log: {e}")))?;
-        let arrangement: Arrangement = serde_json::from_value(pick("arrangement")?)
-            .map_err(|e| bad_request(format!("bad snapshot arrangement: {e}")))?;
-        let baseline: f64 = serde_json::from_value(pick("baseline")?)
-            .map_err(|e| bad_request(format!("bad snapshot baseline: {e}")))?;
+        // Free the file's text before the replay builds a candidate graph.
+        drop(text);
 
         let mut arranger = IncrementalArranger::replay(base.clone(), &log, self.config)
             .map_err(|e| ServiceError::new("mutation_failed", format!("replaying {path}: {e}")))?;

@@ -5,8 +5,9 @@
 # - a locked build of the separate perfbench workspace, and a
 #   one-second answer-checked run of each of its four workloads;
 # - clippy -D warnings, and cargo doc with warnings as errors;
-# - the engine differential-equivalence gate (engine_equiv) at 1 and 4
-#   threads;
+# - the engine differential-equivalence gate at 1 and 4 threads:
+#   engine_equiv, and the frontier pins (frontier_pin: Greedy-GEACC,
+#   ALNS repair and live repair on paper-scale instances, bit for bit);
 # - the workspace test suite at two worker-pool sizes: GEACC_THREADS=1
 #   exercises every sequential code path, GEACC_THREADS=4 the
 #   scoped-thread parallel paths (including the resilience suite's
@@ -73,9 +74,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 
 echo "== engine differential-equivalence gate =="
 # The refactor contract: every algorithm through engine::solve_on is
-# bit-identical to the paper entry points, at 1 and 4 threads.
-GEACC_THREADS=1 cargo test -p geacc-core --test engine_equiv -q
-GEACC_THREADS=4 cargo test -p geacc-core --test engine_equiv -q
+# bit-identical to the paper entry points, and the one Greedy-GEACC
+# frontier (full solve, ALNS repair, live repair) reproduces its pinned
+# arrangements, tick placement, RNG draws and repair reports, at 1 and
+# 4 threads.
+for threads in 1 4; do
+    GEACC_THREADS=$threads cargo test -p geacc-core --test engine_equiv -q
+    GEACC_THREADS=$threads cargo test -p geacc-datagen --test frontier_pin -q
+done
 
 echo "== cargo test (GEACC_THREADS=1) =="
 GEACC_THREADS=1 cargo test --workspace -q
