@@ -284,7 +284,6 @@ fn solve(args: &ParsedArgs) -> Result<CmdOutput, CliError> {
             SolveBudget {
                 deadline: timeout_ms.map(Duration::from_millis),
                 max_nodes,
-                max_memory_bytes: None,
             },
             on_timeout.unwrap_or("incumbent"),
         );

@@ -268,8 +268,8 @@ pub fn prune_with(inst: &Instance, config: PruneConfig) -> PruneResult {
 /// Determinism: when `meter` carries a *node* budget the search is
 /// forced onto the sequential path regardless of `config.threads`, so a
 /// fixed node budget stops at the same tree node — and returns the same
-/// incumbent — on every run. Wall-clock/memory/cancellation budgets keep
-/// the configured parallelism and make no such promise. An unlimited
+/// incumbent — on every run. Wall-clock budgets keep the configured
+/// parallelism and make no such promise. An unlimited
 /// meter leaves the result bit-identical to [`prune_with`].
 pub fn prune_on(
     graph: &CandidateGraph,

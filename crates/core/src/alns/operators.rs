@@ -241,7 +241,7 @@ pub(crate) fn repair(
     users.sort_unstable();
     users.dedup();
     let inst = graph.instance();
-    let mut streams = RegionStreams::new(inst, Some(graph.flats()), &events, &users);
+    let mut streams = RegionStreams::new(inst, graph.flats(), &events, &users);
     let mut matching = Repair {
         state,
         graph,

@@ -220,14 +220,14 @@ pub struct IncrementalArranger {
     baseline: f64,
     config: DynamicConfig,
     /// The candidate-graph flats of the newest epoch they were asked
-    /// for ([`Self::epoch_flats`]), or of epoch 0 as the initial Greedy
-    /// built them, refreshed incrementally: mutations
+    /// for ([`Self::epoch_flats`]), of epoch 0 as the initial Greedy
+    /// built them, or the empty flats after [`Self::resume`]. Mutations
     /// only ever *grow* the similarity space (`AddUser` / `AddEvent`
     /// append ids; capacity and conflict edits live outside the sim
-    /// model), so a stale cache is extended via [`GraphFlats::extended`]
-    /// at drift-proportional cost instead of rebuilt from scratch.
-    /// Repair streams read them as they stand, whatever their epoch.
-    flats: Option<Arc<GraphFlats>>,
+    /// model), so stale flats are extended via [`GraphFlats::extended`]
+    /// at drift-proportional cost. Repair streams read them as they
+    /// stand, whatever their epoch.
+    flats: Arc<GraphFlats>,
 }
 
 impl IncrementalArranger {
@@ -250,7 +250,7 @@ impl IncrementalArranger {
             epoch: 0,
             baseline,
             config,
-            flats: Some(flats),
+            flats,
         }
     }
 
@@ -296,7 +296,7 @@ impl IncrementalArranger {
             epoch,
             baseline,
             config,
-            flats: None,
+            flats: Arc::default(),
         })
     }
 
@@ -374,27 +374,25 @@ impl IncrementalArranger {
         h
     }
 
-    /// The candidate-graph flats of the current epoch, **incrementally
-    /// extended** from the cached ones. [`Self::new`] seeds the cache
-    /// with its Greedy's graph, so a from-scratch build only happens on
-    /// first use after [`Self::resume`]. Dimension-changing mutations
-    /// (`AddUser` / `AddEvent`) trigger a [`GraphFlats::extended`]
-    /// refresh costing similarity evaluations proportional to the drift
-    /// (new rows × all users + old rows × new users), while every other
-    /// mutation reuses the cached `Arc` outright — capacities and
-    /// conflicts are not part of the sim model. Bit-identical to
-    /// `GraphFlats::build` of the live instance at every thread count.
+    /// The candidate-graph flats of the current epoch: the cached `Arc`
+    /// if it still covers the live instance, else the cached flats
+    /// **incrementally extended** to it. Only dimension-changing
+    /// mutations (`AddUser` / `AddEvent`) make it stale — capacities
+    /// and conflicts are not part of the sim model — and an extension
+    /// costs similarity evaluations proportional to the drift (new rows
+    /// × all users + old rows × new users). [`Self::new`] seeds the
+    /// cache with its Greedy's graph; after [`Self::resume`] it holds
+    /// the empty flats, whose extension evaluates every pair, like a
+    /// build. Bit-identical to `GraphFlats::build` of the live instance
+    /// at every thread count.
     /// Only solves need it — [`Self::rebuild`] and the serving layer's
     /// solve pins — so one extend covers every mutation since the last
     /// solve.
     pub fn epoch_flats(&mut self, threads: Threads) -> Arc<GraphFlats> {
-        let fresh = match &self.flats {
-            Some(f) if f.covers(&self.inst) => Arc::clone(f),
-            Some(f) => Arc::new(f.extended(&self.inst, threads)),
-            None => Arc::new(GraphFlats::build(&self.inst, threads)),
-        };
-        self.flats = Some(Arc::clone(&fresh));
-        fresh
+        if !self.flats.covers(&self.inst) {
+            self.flats = Arc::new(self.flats.extended(&self.inst, threads));
+        }
+        Arc::clone(&self.flats)
     }
 
     /// Re-run the full budgeted pipeline on the current instance and
@@ -652,8 +650,9 @@ impl IncrementalArranger {
     /// Best-first localized repair: re-offer freed capacity to the
     /// affected frontier. Greedy-GEACC's frontier runs seeded with the
     /// affected nodes, each streaming its candidates from the session's
-    /// flats plus the ids added since ([`RegionStreams`]); without flats
-    /// (after [`Self::resume`]) every stream is read from the instance.
+    /// flats plus the ids added since ([`RegionStreams`]); from the empty
+    /// flats (after [`Self::resume`]) every stream is read from the
+    /// instance.
     /// Add-only: surviving pairs are never disturbed. Returns pairs
     /// added.
     fn repair(&mut self, mut users: Vec<UserId>, mut events: Vec<EventId>) -> usize {
@@ -661,7 +660,7 @@ impl IncrementalArranger {
         users.dedup();
         events.sort_unstable();
         events.dedup();
-        let mut streams = RegionStreams::new(&self.inst, self.flats.as_deref(), &events, &users);
+        let mut streams = RegionStreams::new(&self.inst, &self.flats, &events, &users);
         let before = self.arrangement.len();
         let mut growing = Growing {
             inst: &self.inst,
@@ -865,7 +864,7 @@ mod tests {
         // Growth and every other kind of write: repair streams the new
         // ids from the instance and leaves the epoch-0 flats as they are.
         let mut a = arranger();
-        let flats = Arc::clone(a.flats.as_ref().expect("new keeps its Greedy's flats"));
+        let flats = Arc::clone(&a.flats);
         let mutations = [
             Mutation::AddUser {
                 attrs: vec![0.95, 0.9, 0.85],
@@ -894,7 +893,7 @@ mod tests {
             feasible(&a);
         }
         assert!(reassigned > 0, "the added ids must be offered");
-        assert!(Arc::ptr_eq(a.flats.as_ref().unwrap(), &flats));
+        assert!(Arc::ptr_eq(&a.flats, &flats));
         assert_eq!((flats.num_events(), flats.num_users()), (3, 5));
     }
 

@@ -16,74 +16,60 @@
 //!   enumeration read straight off a slice.
 //!
 //! [`RegionStreams`] serves the same order to the repair frontiers of a
-//! *grown* instance from flats built for an earlier epoch: each node's
-//! sorted row or column, merged with a sorted tail of the ids added
-//! since (the same tail [`GraphFlats::extended`] appends), so a repair
-//! never builds, extends or copies the flats.
+//! *grown* instance from flats laid out for an earlier epoch: each
+//! node's sorted row or column, merged (by the same merge that fills the
+//! CSR's sorted views) with its positive pairs among the ids added
+//! since, so a repair never builds, extends or copies the flats.
 //!
 //! The arrays themselves live in an owned, `Arc`-shareable
 //! [`GraphFlats`]; a [`CandidateGraph`] is a `(instance, flats)` pair.
 //! That split is what lets the serving layer pin one epoch's graph
-//! immutably while mutations build the next epoch's flats — and lets
-//! [`GraphFlats::extended`] produce the next epoch *incrementally*,
-//! reusing every already-evaluated pair instead of rescanning the dense
-//! `|V|·|U|` similarity space.
+//! immutably while mutations prepare the next epoch's flats.
 //!
-//! ## Count-then-place build
-//!
-//! The build is a flat-arena, two-pass pipeline — no per-row `Vec`s, no
-//! intermediate column buckets:
-//!
-//! 1. **Count**: workers scan disjoint event ranges, producing each
-//!    row's positive-pair count plus a per-worker column-count array.
-//!    Prefix sums turn these into `row_off` / `col_off`.
-//! 2. **Place**: the six flat arrays are allocated at their exact final
-//!    sizes; workers re-scan their event ranges and write the row views
-//!    directly into offset-aligned sub-slices (each row sorted on a
-//!    reused `(sim, id)` scratch). Columns are scattered sequentially in
-//!    event-id order through a cursor array — which leaves every column
-//!    id-ascending — then sorted in place by workers over column-aligned
-//!    `split_at_mut` partitions.
-//!
-//! Work is split by index ranges and written to disjoint slices, so the
-//! arrays are bit-identical at every thread count. The graph costs
-//! `O(P)` memory for `P` positive pairs instead of the `O(|V|·|U|)` of a
-//! dense similarity matrix. The worker budget is floored by
-//! [`Threads::cost_capped`] on the dense cell count, so small instances
-//! build inline instead of paying fork-join overhead per array.
-//!
-//! ## Incremental extension
+//! ## One layout routine: extension
 //!
 //! Dynamic sessions only ever *grow* the similarity space: `AddUser` /
 //! `AddEvent` append ids, and no mutation rewrites an existing pair's
 //! similarity (capacity and conflict edits live outside the sim model).
-//! [`GraphFlats::extended`] exploits that monotonicity: old rows keep
-//! their prefix and append only the new users' entries (new ids exceed
-//! every old id, so id-ascending order is preserved by concatenation);
-//! sorted views are merges of two already-sorted runs under the strict
-//! total order `(sim desc by total_cmp, id asc)` — no two entries
-//! compare equal, so the merge is bit-identical to a from-scratch sort;
-//! only the brand-new rows and columns are evaluated densely. Similarity
-//! evaluations are therefore `O(|V₀|·Δu + Δv·|U₁|)` — proportional to
-//! drift, not instance size — plus an `O(P)` memcpy of the surviving
-//! arrays.
+//! [`GraphFlats::extended`] lays out the flats of a grown instance from
+//! flats it already has, evaluating only the pairs those do not cover;
+//! [`GraphFlats::build`] is the empty (0×0) flats extended, where that
+//! is every pair. Its three passes write arrays allocated once at their
+//! exact final sizes — no per-row `Vec`s, no column buckets:
+//!
+//! 1. **Count**: workers scan disjoint event ranges, counting each
+//!    row's new positive pairs and each column's share of them. Prefix
+//!    sums over the old lengths plus these counts give `row_off` /
+//!    `col_off`.
+//! 2. **Rows**: workers fill the offset-aligned sub-slices of their
+//!    event ranges. A row copies its old id-ascending prefix and appends
+//!    its new entries (new ids exceed every old id, so it stays
+//!    id-ascending); its sorted view is the merge of its old sorted run
+//!    with its new entries, sorted.
+//! 3. **Columns**: the new entries are scattered sequentially in
+//!    event-id order after each column's old ones; then workers over
+//!    column ranges fill each column with the same merge.
+//!
+//! Sorted views follow the order `(sim desc by total_cmp, id asc)`. Ids
+//! within one row or column are distinct, so the order is *strict* — no
+//! two entries compare equal — and a merge of two sorted runs is
+//! bit-identical to sorting their union from scratch. Work is split by
+//! index ranges into disjoint slices, so the arrays are bit-identical at
+//! every thread count and to a build of the grown instance. Similarity
+//! evaluations are `O(|V₀|·Δu + Δv·|U₁|)` — proportional to drift, not
+//! instance size — plus `O(P)` copying and merging of the old arrays;
+//! the graph costs `O(P)` memory for `P` positive pairs instead of the
+//! `O(|V|·|U|)` of a dense similarity matrix. The worker budget is
+//! floored by [`Threads::cost_capped`] on the cells evaluated, so small
+//! builds and extensions run inline instead of paying fork-join
+//! overhead.
 
 use crate::algorithms::Streams;
 use crate::model::ids::{EventId, UserId};
-use crate::parallel::{split_ranges, Threads, SIM_CELLS_PER_WORKER};
+use crate::parallel::{par_map_coarse, split_ranges, Threads, SIM_CELLS_PER_WORKER};
 use crate::Instance;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Join a scoped worker, re-raising its panic payload verbatim (so a
-/// worker panic reaches the budgeted pipeline's `catch_unwind` with its
-/// original message).
-fn join_propagating<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match handle.join() {
-        Ok(value) => value,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
 
 /// The owned CSR arrays of one candidate graph: every `sim > 0`
 /// `(event, user)` pair in id-ascending rows, similarity-sorted rows,
@@ -125,312 +111,120 @@ fn sim_desc_id_asc(x: &(f64, u32), y: &(f64, u32)) -> std::cmp::Ordering {
 }
 
 /// `(sim, id)` of every id in `ids` with a positive similarity, in id
-/// order: what a row or column of a grown instance holds beyond flats
-/// built before the growth. Point queries are bit-identical to
-/// `similarity_row` cells (both dispatch to the same model lookup).
-fn positive_tail(ids: Range<usize>, sim: impl Fn(u32) -> f64) -> Vec<(f64, u32)> {
-    ids.filter_map(|id| {
+/// order: what a row or column holds beyond flats laid out before the
+/// growth. Point queries are bit-identical to `similarity_row` cells
+/// (both dispatch to the same model lookup).
+fn positives(ids: Range<usize>, sim: impl Fn(u32) -> f64) -> impl Iterator<Item = (f64, u32)> {
+    ids.filter_map(move |id| {
         let s = sim(id as u32);
         (s > 0.0).then_some((s, id as u32))
     })
-    .collect()
 }
 
-/// Pass 1 worker: count positives per row over `start..end`, plus this
-/// worker's contribution to every column's count.
-fn count_range(inst: &Instance, start: usize, end: usize, nu: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut row_counts = Vec::with_capacity(end - start);
-    let mut col_counts = vec![0usize; nu];
-    let mut dense = Vec::new();
-    for v in start..end {
-        inst.similarity_row(EventId(v as u32), &mut dense);
-        let mut count = 0;
+/// Call `f(user, sim)` on event `v`'s positive pairs with users
+/// `from..|U|`, in id order: a whole row (`from` 0) is one dense
+/// `similarity_row` scan into `dense`, a row's tail is [`positives`].
+fn row_positives(
+    inst: &Instance,
+    v: usize,
+    from: usize,
+    dense: &mut Vec<f64>,
+    mut f: impl FnMut(u32, f64),
+) {
+    let v = EventId(v as u32);
+    if from == 0 {
+        inst.similarity_row(v, dense);
         for (u, &s) in dense.iter().enumerate() {
             if s > 0.0 {
-                count += 1;
-                col_counts[u] += 1;
+                f(u as u32, s);
             }
         }
-        row_counts.push(count);
+    } else {
+        for (s, u) in positives(from..inst.num_users(), |u| inst.similarity(v, UserId(u))) {
+            f(u, s);
+        }
     }
-    (row_counts, col_counts)
 }
 
-/// A pass-2 worker's four disjoint output sub-slices, all beginning at
-/// flat offset `row_off[start]` of its event range.
-struct RowSlices<'s> {
-    row_user: &'s mut [u32],
-    row_sim: &'s mut [f64],
-    sorted_row_user: &'s mut [u32],
-    sorted_row_sim: &'s mut [f64],
+/// Flat output arrays that split into a prefix and the rest, so each
+/// worker of [`fork`] writes only its own share.
+trait Split: Sized {
+    fn split(self, at: usize) -> (Self, Self);
 }
 
-/// Pass 2 worker: fill the four row-view sub-slices for `start..end`.
-fn place_rows(inst: &Instance, start: usize, end: usize, row_off: &[usize], out: RowSlices<'_>) {
-    let RowSlices {
-        row_user,
-        row_sim,
-        sorted_row_user,
-        sorted_row_sim,
-    } = out;
-    let base = row_off[start];
-    let mut dense = Vec::new();
-    let mut scratch: Vec<(f64, u32)> = Vec::new();
-    for v in start..end {
-        let (a, b) = (row_off[v] - base, row_off[v + 1] - base);
-        inst.similarity_row(EventId(v as u32), &mut dense);
-        let mut i = a;
-        for (u, &s) in dense.iter().enumerate() {
-            if s > 0.0 {
-                row_user[i] = u as u32;
-                row_sim[i] = s;
-                i += 1;
+impl<T> Split for &mut [T] {
+    fn split(self, at: usize) -> (Self, Self) {
+        self.split_at_mut(at)
+    }
+}
+
+impl<A: Split, B: Split> Split for (A, B) {
+    fn split(self, at: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.split(at), self.1.split(at));
+        ((a0, b0), (a1, b1))
+    }
+}
+
+/// Run `work` on each of the consecutive index `ranges` with its share
+/// `off[s]..off[e]` of the flat arrays `out`, one scoped worker per
+/// range; the last range runs on the caller, so one range forks nothing.
+fn fork<P: Split + Send>(
+    ranges: &[(usize, usize)],
+    off: &[usize],
+    mut out: P,
+    work: impl Fn(Range<usize>, P) + Sync,
+) {
+    std::thread::scope(|scope| {
+        let work = &work;
+        for (i, &(s, e)) in ranges.iter().enumerate() {
+            let (part, rest) = out.split(off[e] - off[s]);
+            out = rest;
+            if i + 1 == ranges.len() {
+                work(s..e, part);
+            } else {
+                scope.spawn(move || work(s..e, part));
             }
         }
-        debug_assert_eq!(i, b, "count pass disagrees with place pass");
-        // Sorted view: similarity desc, ties id asc (the frontier's
-        // stream order).
-        scratch.clear();
-        scratch.extend(
-            row_sim[a..b]
-                .iter()
-                .copied()
-                .zip(row_user[a..b].iter().copied()),
-        );
-        scratch.sort_unstable_by(sim_desc_id_asc);
-        for (j, &(s, u)) in scratch.iter().enumerate() {
-            sorted_row_user[a + j] = u;
-            sorted_row_sim[a + j] = s;
-        }
-    }
+    });
 }
 
-/// Pass 3 worker: sort each column slice of `start..end` (flat arrays
-/// begin at offset `col_off[start]`) by similarity desc, ties id asc.
-fn sort_cols(
-    start: usize,
-    end: usize,
-    col_off: &[usize],
-    sorted_col_event: &mut [u32],
-    sorted_col_sim: &mut [f64],
-    scratch: &mut Vec<(f64, u32)>,
-) {
-    let base = col_off[start];
-    for u in start..end {
-        let (a, b) = (col_off[u] - base, col_off[u + 1] - base);
-        scratch.clear();
-        scratch.extend(
-            sorted_col_sim[a..b]
-                .iter()
-                .copied()
-                .zip(sorted_col_event[a..b].iter().copied()),
-        );
-        scratch.sort_unstable_by(sim_desc_id_asc);
-        for (j, &(s, v)) in scratch.iter().enumerate() {
-            sorted_col_event[a + j] = v;
-            sorted_col_sim[a + j] = s;
-        }
-    }
-}
-
-/// Merge two runs already sorted by [`sim_desc_id_asc`] into `out_sim`
-/// / `out_id`. Both runs come from the same row or column, so their id
-/// sets are disjoint and the order is strict: the merge result is the
-/// unique sorted sequence, bit-identical to sorting from scratch.
-fn merge_sorted(
-    a_sim: &[f64],
-    a_id: &[u32],
-    b: &[(f64, u32)],
-    out_sim: &mut [f64],
-    out_id: &mut [u32],
-) {
-    debug_assert_eq!(a_sim.len() + b.len(), out_sim.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    for k in 0..out_sim.len() {
-        let take_a = if i == a_sim.len() {
-            false
-        } else if j == b.len() {
-            true
-        } else {
-            sim_desc_id_asc(&(a_sim[i], a_id[i]), &b[j]).is_le()
-        };
-        if take_a {
-            out_sim[k] = a_sim[i];
-            out_id[k] = a_id[i];
-            i += 1;
-        } else {
-            out_sim[k] = b[j].0;
-            out_id[k] = b[j].1;
-            j += 1;
+impl Default for GraphFlats {
+    /// The empty flats, 0 events × 0 users: what [`GraphFlats::build`]
+    /// extends, and what a session holds until a solve lays out its CSR.
+    fn default() -> Self {
+        GraphFlats {
+            row_off: vec![0],
+            row_user: Vec::new(),
+            row_sim: Vec::new(),
+            sorted_row_user: Vec::new(),
+            sorted_row_sim: Vec::new(),
+            col_off: vec![0],
+            sorted_col_event: Vec::new(),
+            sorted_col_sim: Vec::new(),
         }
     }
 }
 
 impl GraphFlats {
-    /// Build the flats from `inst` with the count-then-place pipeline
-    /// (see the module docs), on at most `threads` scoped workers. The
-    /// result is bit-identical at every thread count.
+    /// Lay out the flats of `inst`: the empty flats
+    /// [extended](Self::extended) to it, on at most `threads` scoped
+    /// workers. The result is bit-identical at every thread count.
     pub fn build(inst: &Instance, threads: Threads) -> Self {
-        let nv = inst.num_events();
-        let nu = inst.num_users();
-        let threads = threads.cost_capped(nv.saturating_mul(nu), SIM_CELLS_PER_WORKER);
-        let ranges = split_ranges(nv, threads.get());
-
-        // Pass 1 — count rows and columns over disjoint event ranges.
-        let counts: Vec<(Vec<usize>, Vec<usize>)> = if ranges.len() <= 1 {
-            vec![count_range(inst, 0, nv, nu)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(s, e)| scope.spawn(move || count_range(inst, s, e, nu)))
-                    .collect();
-                handles.into_iter().map(join_propagating).collect()
-            })
-        };
-        let mut row_off = Vec::with_capacity(nv + 1);
-        row_off.push(0usize);
-        let mut pairs = 0usize;
-        for (row_counts, _) in &counts {
-            for &c in row_counts {
-                pairs += c;
-                row_off.push(pairs);
-            }
-        }
-        let mut col_off = vec![0usize; nu + 1];
-        for (_, col_counts) in &counts {
-            for (u, &c) in col_counts.iter().enumerate() {
-                col_off[u + 1] += c;
-            }
-        }
-        for u in 0..nu {
-            col_off[u + 1] += col_off[u];
-        }
-
-        // Pass 2 — place the row views into preallocated flats, each
-        // worker writing the offset-aligned sub-slices of its ranges.
-        let mut row_user = vec![0u32; pairs];
-        let mut row_sim = vec![0.0f64; pairs];
-        let mut sorted_row_user = vec![0u32; pairs];
-        let mut sorted_row_sim = vec![0.0f64; pairs];
-        if ranges.len() <= 1 {
-            place_rows(
-                inst,
-                0,
-                nv,
-                &row_off,
-                RowSlices {
-                    row_user: &mut row_user,
-                    row_sim: &mut row_sim,
-                    sorted_row_user: &mut sorted_row_user,
-                    sorted_row_sim: &mut sorted_row_sim,
-                },
-            );
-        } else {
-            std::thread::scope(|scope| {
-                let (mut ru, mut rs) = (&mut row_user[..], &mut row_sim[..]);
-                let (mut su, mut ss) = (&mut sorted_row_user[..], &mut sorted_row_sim[..]);
-                let mut consumed = 0usize;
-                let row_off = &row_off;
-                for &(s, e) in &ranges {
-                    let len = row_off[e] - consumed;
-                    consumed = row_off[e];
-                    let (c_ru, rest) = ru.split_at_mut(len);
-                    ru = rest;
-                    let (c_rs, rest) = rs.split_at_mut(len);
-                    rs = rest;
-                    let (c_su, rest) = su.split_at_mut(len);
-                    su = rest;
-                    let (c_ss, rest) = ss.split_at_mut(len);
-                    ss = rest;
-                    scope.spawn(move || {
-                        place_rows(
-                            inst,
-                            s,
-                            e,
-                            row_off,
-                            RowSlices {
-                                row_user: c_ru,
-                                row_sim: c_rs,
-                                sorted_row_user: c_su,
-                                sorted_row_sim: c_ss,
-                            },
-                        )
-                    });
-                }
-            });
-        }
-
-        // Pass 3 — columns: sequential cursor scatter in event-id order
-        // (columns come out id-ascending), then per-column sorts over
-        // column-aligned partitions.
-        let mut sorted_col_event = vec![0u32; pairs];
-        let mut sorted_col_sim = vec![0.0f64; pairs];
-        let mut cursor = col_off[..nu].to_vec();
-        for v in 0..nv {
-            for i in row_off[v]..row_off[v + 1] {
-                let u = row_user[i] as usize;
-                sorted_col_event[cursor[u]] = v as u32;
-                sorted_col_sim[cursor[u]] = row_sim[i];
-                cursor[u] += 1;
-            }
-        }
-        let col_ranges = split_ranges(nu, threads.get());
-        if col_ranges.len() <= 1 {
-            let mut scratch = Vec::new();
-            sort_cols(
-                0,
-                nu,
-                &col_off,
-                &mut sorted_col_event,
-                &mut sorted_col_sim,
-                &mut scratch,
-            );
-        } else {
-            std::thread::scope(|scope| {
-                let (mut ce, mut cs) = (&mut sorted_col_event[..], &mut sorted_col_sim[..]);
-                let mut consumed = 0usize;
-                let col_off = &col_off;
-                for &(s, e) in &col_ranges {
-                    let len = col_off[e] - consumed;
-                    consumed = col_off[e];
-                    let (c_ce, rest) = ce.split_at_mut(len);
-                    ce = rest;
-                    let (c_cs, rest) = cs.split_at_mut(len);
-                    cs = rest;
-                    scope.spawn(move || {
-                        let mut scratch = Vec::new();
-                        sort_cols(s, e, col_off, c_ce, c_cs, &mut scratch);
-                    });
-                }
-            });
-        }
-
-        GraphFlats {
-            row_off,
-            row_user,
-            row_sim,
-            sorted_row_user,
-            sorted_row_sim,
-            col_off,
-            sorted_col_event,
-            sorted_col_sim,
-        }
+        GraphFlats::default().extended(inst, threads)
     }
 
     /// Extend these flats to the dimensions of `inst`, which must be a
-    /// *grown* version of the instance these flats were built from:
+    /// *grown* version of the instance these flats were laid out for:
     /// ids only ever appended, no existing pair's similarity changed —
     /// exactly the guarantee dynamic mutations provide (`AddUser` /
     /// `AddEvent` append; capacity and conflict edits don't touch the
-    /// sim model). Bit-identical to `GraphFlats::build(inst, _)` at a
-    /// fraction of the cost: only `old_events × new_users` and
-    /// `new_events × all_users` pairs are evaluated (see module docs).
+    /// sim model). Only `old_events × new_users` and
+    /// `new_events × all_users` pairs are evaluated, and the result is
+    /// bit-identical to laying out `inst` from the empty flats (see the
+    /// module docs).
     pub fn extended(&self, inst: &Instance, threads: Threads) -> Self {
-        let nv0 = self.num_events();
-        let nu0 = self.num_users();
-        let nv1 = inst.num_events();
-        let nu1 = inst.num_users();
+        let (nv0, nu0) = (self.num_events(), self.num_users());
+        let (nv1, nu1) = (inst.num_events(), inst.num_users());
         assert!(
             nv1 >= nv0 && nu1 >= nu0,
             "extended() requires a grown instance: ({nv0}×{nu0}) -> ({nv1}×{nu1})"
@@ -438,172 +232,123 @@ impl GraphFlats {
         if nv1 == nv0 && nu1 == nu0 {
             return self.clone();
         }
+        let threads =
+            threads.cost_capped(nv1.saturating_mul(nu1) - nv0 * nu0, SIM_CELLS_PER_WORKER);
 
-        // New entries appended to old rows: users nu0..nu1, in id order.
-        let tails: Vec<Vec<(f64, u32)>> = (0..nv0 as u32)
-            .map(|v| positive_tail(nu0..nu1, |u| inst.similarity(EventId(v), UserId(u))))
-            .collect();
-
-        // Brand-new rows nv0..nv1: counted densely like a fresh build
-        // (their columns span all of 0..nu1).
-        let threads = threads.cost_capped(
-            (nv1 - nv0).saturating_mul(nu1).max(nv0 * (nu1 - nu0)),
-            SIM_CELLS_PER_WORKER,
-        );
-        let (new_row_counts, new_col_counts) = if nv1 > nv0 {
-            count_range(inst, nv0, nv1, nu1)
-        } else {
-            (Vec::new(), vec![0usize; nu1])
-        };
-
-        // Offsets: old row lengths + tail lengths, then the new rows.
+        // Pass 1 — count each row's new entries and each column's share
+        // of them over disjoint event ranges.
+        let ranges = split_ranges(nv1, threads.get());
+        let counts = par_map_coarse(threads, ranges.len(), |i| {
+            let (mut col_counts, mut dense) = (vec![0usize; nu1], Vec::new());
+            let row_counts: Vec<usize> = (ranges[i].0..ranges[i].1)
+                .map(|v| {
+                    let mut n = 0;
+                    row_positives(inst, v, self.row_run(v).1, &mut dense, |u, _| {
+                        col_counts[u as usize] += 1;
+                        n += 1;
+                    });
+                    n
+                })
+                .collect();
+            (row_counts, col_counts)
+        });
         let mut row_off = Vec::with_capacity(nv1 + 1);
         row_off.push(0usize);
-        let mut pairs = 0usize;
-        for (v, tail) in tails.iter().enumerate() {
-            pairs += (self.row_off[v + 1] - self.row_off[v]) + tail.len();
-            row_off.push(pairs);
-        }
-        for &c in &new_row_counts {
-            pairs += c;
-            row_off.push(pairs);
-        }
         let mut col_off = vec![0usize; nu1 + 1];
-        for u in 0..nu0 {
-            col_off[u + 1] = self.col_off[u + 1] - self.col_off[u];
-        }
-        for tail in &tails {
-            for &(_, u) in tail {
-                col_off[u as usize + 1] += 1;
+        for (row_counts, col_counts) in &counts {
+            for &c in row_counts {
+                let v = row_off.len() - 1;
+                row_off.push(row_off[v] + self.row_run(v).0.len() + c);
+            }
+            for (u, &c) in col_counts.iter().enumerate() {
+                col_off[u + 1] += c;
             }
         }
-        for (u, &c) in new_col_counts.iter().enumerate() {
-            col_off[u + 1] += c;
-        }
         for u in 0..nu1 {
-            col_off[u + 1] += col_off[u];
+            col_off[u + 1] += col_off[u] + self.col_run(u).0.len();
         }
 
-        // Rows: old prefix copied, tail appended (new ids exceed all
-        // old ids, so concatenation stays id-ascending); sorted view by
-        // merging the old sorted run with the sorted tail.
+        // Pass 2 — rows: the old prefix, then the new entries; the sorted
+        // view merges the old sorted run with the sorted new entries.
+        let pairs = row_off[nv1];
         let mut row_user = vec![0u32; pairs];
         let mut row_sim = vec![0.0f64; pairs];
         let mut sorted_row_user = vec![0u32; pairs];
         let mut sorted_row_sim = vec![0.0f64; pairs];
-        let mut tail_sorted: Vec<(f64, u32)> = Vec::new();
-        for v in 0..nv0 {
-            let (a1, b1) = (row_off[v], row_off[v + 1]);
-            let (a0, b0) = (self.row_off[v], self.row_off[v + 1]);
-            let old_len = b0 - a0;
-            row_user[a1..a1 + old_len].copy_from_slice(&self.row_user[a0..b0]);
-            row_sim[a1..a1 + old_len].copy_from_slice(&self.row_sim[a0..b0]);
-            for (j, &(s, u)) in tails[v].iter().enumerate() {
-                row_user[a1 + old_len + j] = u;
-                row_sim[a1 + old_len + j] = s;
-            }
-            tail_sorted.clear();
-            tail_sorted.extend_from_slice(&tails[v]);
-            tail_sorted.sort_unstable_by(sim_desc_id_asc);
-            merge_sorted(
-                &self.sorted_row_sim[a0..b0],
-                &self.sorted_row_user[a0..b0],
-                &tail_sorted,
-                &mut sorted_row_sim[a1..b1],
-                &mut sorted_row_user[a1..b1],
-            );
-        }
-        if nv1 > nv0 {
-            let base = row_off[nv0];
-            let ranges = split_ranges(nv1 - nv0, threads.get());
-            if ranges.len() <= 1 {
-                place_rows(
-                    inst,
-                    nv0,
-                    nv1,
-                    &row_off,
-                    RowSlices {
-                        row_user: &mut row_user[base..],
-                        row_sim: &mut row_sim[base..],
-                        sorted_row_user: &mut sorted_row_user[base..],
-                        sorted_row_sim: &mut sorted_row_sim[base..],
-                    },
-                );
-            } else {
-                std::thread::scope(|scope| {
-                    let (mut ru, mut rs) = (&mut row_user[base..], &mut row_sim[base..]);
-                    let (mut su, mut ss) =
-                        (&mut sorted_row_user[base..], &mut sorted_row_sim[base..]);
-                    let mut consumed = base;
-                    let row_off = &row_off;
-                    for &(s, e) in &ranges {
-                        let (s, e) = (nv0 + s, nv0 + e);
-                        let len = row_off[e] - consumed;
-                        consumed = row_off[e];
-                        let (c_ru, rest) = ru.split_at_mut(len);
-                        ru = rest;
-                        let (c_rs, rest) = rs.split_at_mut(len);
-                        rs = rest;
-                        let (c_su, rest) = su.split_at_mut(len);
-                        su = rest;
-                        let (c_ss, rest) = ss.split_at_mut(len);
-                        ss = rest;
-                        scope.spawn(move || {
-                            place_rows(
-                                inst,
-                                s,
-                                e,
-                                row_off,
-                                RowSlices {
-                                    row_user: c_ru,
-                                    row_sim: c_rs,
-                                    sorted_row_user: c_su,
-                                    sorted_row_sim: c_ss,
-                                },
-                            )
-                        });
+        fork(
+            &ranges,
+            &row_off,
+            (
+                (&mut row_user[..], &mut row_sim[..]),
+                (&mut sorted_row_user[..], &mut sorted_row_sim[..]),
+            ),
+            |events, ((ids, sims), (sorted_ids, sorted_sims))| {
+                let base = row_off[events.start];
+                let (mut dense, mut tail) = (Vec::new(), Vec::new());
+                for v in events {
+                    let (a, b) = (row_off[v] - base, row_off[v + 1] - base);
+                    let (old, from) = self.row_run(v);
+                    let mid = a + old.len();
+                    ids[a..mid].copy_from_slice(&self.row_user[old.clone()]);
+                    sims[a..mid].copy_from_slice(&self.row_sim[old.clone()]);
+                    tail.clear();
+                    row_positives(inst, v, from, &mut dense, |u, s| tail.push((s, u)));
+                    for (k, &(s, u)) in tail.iter().enumerate() {
+                        ids[mid + k] = u;
+                        sims[mid + k] = s;
                     }
-                });
-            }
-        }
+                    let run = (
+                        &self.sorted_row_user[old.clone()],
+                        &self.sorted_row_sim[old],
+                    );
+                    tail =
+                        Merge::new(run, tail).fill(&mut sorted_ids[a..b], &mut sorted_sims[a..b]);
+                }
+            },
+        );
 
-        // Columns. Additions per column, visited in event-id order:
-        // old rows' tails (events 0..nv0 ascending) then the new rows
-        // (nv0..nv1 ascending). Old columns merge the old sorted run
-        // with their sorted additions; new columns are all additions.
-        let mut adds: Vec<Vec<(f64, u32)>> = vec![Vec::new(); nu1];
-        for (v, tail) in tails.iter().enumerate() {
-            for &(s, u) in tail {
-                adds[u as usize].push((s, v as u32));
-            }
-        }
-        for v in nv0..nv1 {
-            let (a, b) = (row_off[v], row_off[v + 1]);
-            for i in a..b {
-                adds[row_user[i] as usize].push((row_sim[i], v as u32));
-            }
-        }
+        // Pass 3 — columns: scatter the new entries in event-id order
+        // after each column's old ones, then fill every column with the
+        // merge of its old sorted run and its sorted new entries.
         let mut sorted_col_event = vec![0u32; pairs];
         let mut sorted_col_sim = vec![0.0f64; pairs];
-        for (u, add) in adds.iter_mut().enumerate() {
-            let (a1, b1) = (col_off[u], col_off[u + 1]);
-            add.sort_unstable_by(sim_desc_id_asc);
-            if u < nu0 {
-                let (a0, b0) = (self.col_off[u], self.col_off[u + 1]);
-                merge_sorted(
-                    &self.sorted_col_sim[a0..b0],
-                    &self.sorted_col_event[a0..b0],
-                    add,
-                    &mut sorted_col_sim[a1..b1],
-                    &mut sorted_col_event[a1..b1],
-                );
-            } else {
-                for (j, &(s, v)) in add.iter().enumerate() {
-                    sorted_col_event[a1 + j] = v;
-                    sorted_col_sim[a1 + j] = s;
-                }
+        let mut cursor: Vec<usize> = (0..nu1)
+            .map(|u| col_off[u] + self.col_run(u).0.len())
+            .collect();
+        for v in 0..nv1 {
+            for i in row_off[v] + self.row_run(v).0.len()..row_off[v + 1] {
+                let u = row_user[i] as usize;
+                sorted_col_event[cursor[u]] = v as u32;
+                sorted_col_sim[cursor[u]] = row_sim[i];
+                cursor[u] += 1;
             }
         }
+        fork(
+            &split_ranges(nu1, threads.get()),
+            &col_off,
+            (&mut sorted_col_event[..], &mut sorted_col_sim[..]),
+            |users, (ids, sims)| {
+                let base = col_off[users.start];
+                let mut tail = Vec::new();
+                for u in users {
+                    let (a, b) = (col_off[u] - base, col_off[u + 1] - base);
+                    let old = self.col_run(u).0;
+                    let mid = a + old.len();
+                    tail.clear();
+                    tail.extend(
+                        sims[mid..b]
+                            .iter()
+                            .copied()
+                            .zip(ids[mid..b].iter().copied()),
+                    );
+                    let run = (
+                        &self.sorted_col_event[old.clone()],
+                        &self.sorted_col_sim[old],
+                    );
+                    tail = Merge::new(run, tail).fill(&mut ids[a..b], &mut sims[a..b]);
+                }
+            },
+        );
 
         GraphFlats {
             row_off,
@@ -614,6 +359,25 @@ impl GraphFlats {
             col_off,
             sorted_col_event,
             sorted_col_sim,
+        }
+    }
+
+    /// Event `v`'s flat positions in these flats (empty past the last
+    /// row) and the first user id they do not cover for it: its whole
+    /// row is that run plus its positive pairs from that id on.
+    fn row_run(&self, v: usize) -> (Range<usize>, usize) {
+        match self.row_off.get(v + 1) {
+            Some(&end) => (self.row_off[v]..end, self.num_users()),
+            None => (0..0, 0),
+        }
+    }
+
+    /// User `u`'s flat positions and first uncovered event id, as
+    /// [`Self::row_run`] for rows.
+    fn col_run(&self, u: usize) -> (Range<usize>, usize) {
+        match self.col_off.get(u + 1) {
+            Some(&end) => (self.col_off[u]..end, self.num_events()),
+            None => (0..0, 0),
         }
     }
 
@@ -682,16 +446,15 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 }
 
 impl<'a> CandidateGraph<'a> {
-    /// Build the graph from `inst` with the count-then-place pipeline
-    /// (see the module docs), on at most `threads` scoped workers. The
-    /// result is bit-identical at every thread count.
+    /// Lay out the graph of `inst` ([`GraphFlats::build`]) on at most
+    /// `threads` scoped workers. The result is bit-identical at every
+    /// thread count.
     pub fn build(inst: &'a Instance, threads: Threads) -> Self {
         CandidateGraph {
             inst,
             flats: Arc::new(GraphFlats::build(inst, threads)),
         }
     }
-
     /// Assemble a graph from an instance and previously built flats
     /// (an epoch snapshot). The flats' dimensions must match.
     pub fn from_flats(inst: &'a Instance, flats: Arc<GraphFlats>) -> Self {
@@ -785,21 +548,22 @@ impl<'a> CandidateGraph<'a> {
 /// similarity-sorted row (or column) of `flats`, merged with the sorted
 /// tail of counterparts the flats do not cover. `flats` may date from
 /// any earlier epoch of `inst` (ids are only ever appended, and no
-/// pair's similarity changes), or be absent, which covers nothing; a
-/// node the flats do not hold streams its whole row or column from the
-/// tail. Every stream equals the sorted row or column of
+/// pair's similarity changes), down to the empty flats, which cover
+/// nothing: a node past the flats streams its whole row or column from
+/// the tail. Every stream equals the sorted row or column of
 /// [`GraphFlats::build`] of `inst`, bit for bit. A tail is evaluated on
 /// the node's first use, so seeds that are never walked cost nothing.
 pub struct RegionStreams<'a> {
     inst: &'a Instance,
-    flats: Option<&'a GraphFlats>,
+    flats: &'a GraphFlats,
     /// The region's events, ascending, with their streams once opened.
     events: Vec<(EventId, Option<Merge<'a>>)>,
     users: Vec<(UserId, Option<Merge<'a>>)>,
 }
 
 /// One node's stream: a sorted run of the flats merged with a sorted
-/// tail. The two hold disjoint ids, so the merge order is strict.
+/// tail. The two hold disjoint ids, so the merge order is strict. The
+/// one merge of the crate: it fills the CSR's sorted views too.
 struct Merge<'a> {
     run: (&'a [u32], &'a [f64]),
     tail: Vec<(f64, u32)>,
@@ -840,6 +604,16 @@ impl<'a> Merge<'a> {
             }
         }
     }
+
+    /// Write the whole stream into `ids` / `sims`, which hold exactly
+    /// its length, and hand back the tail's buffer for reuse.
+    fn fill(mut self, ids: &mut [u32], sims: &mut [f64]) -> Vec<(f64, u32)> {
+        debug_assert_eq!(ids.len(), self.run.0.len() + self.tail.len());
+        for (id, sim) in ids.iter_mut().zip(sims) {
+            (*id, *sim) = self.next(|_| true).expect("the merge fills its span");
+        }
+        self.tail
+    }
 }
 
 impl<'a> RegionStreams<'a> {
@@ -847,7 +621,7 @@ impl<'a> RegionStreams<'a> {
     /// `inst`, served from `flats` where they cover it.
     pub fn new(
         inst: &'a Instance,
-        flats: Option<&'a GraphFlats>,
+        flats: &'a GraphFlats,
         events: &[EventId],
         users: &[UserId],
     ) -> Self {
@@ -868,15 +642,15 @@ impl Streams for RegionStreams<'_> {
         v: EventId,
         mut keep: impl FnMut(UserId) -> bool,
     ) -> Option<(UserId, f64)> {
-        let (inst, flats) = (self.inst, self.flats);
+        let (inst, f) = (self.inst, self.flats);
         let i = self.events.binary_search_by_key(&v, |e| e.0).ok()?;
         let stream = self.events[i].1.get_or_insert_with(|| {
-            let (run, from) = match flats {
-                Some(f) if v.index() < f.num_events() => (f.sorted_row(v), f.num_users()),
-                _ => ((&[][..], &[][..]), 0),
-            };
-            let tail = positive_tail(from..inst.num_users(), |u| inst.similarity(v, UserId(u)));
-            Merge::new(run, tail)
+            let (old, from) = f.row_run(v.index());
+            let tail = positives(from..inst.num_users(), |u| inst.similarity(v, UserId(u)));
+            Merge::new(
+                (&f.sorted_row_user[old.clone()], &f.sorted_row_sim[old]),
+                tail.collect(),
+            )
         });
         stream
             .next(|u| keep(UserId(u)))
@@ -888,15 +662,15 @@ impl Streams for RegionStreams<'_> {
         u: UserId,
         mut keep: impl FnMut(EventId) -> bool,
     ) -> Option<(EventId, f64)> {
-        let (inst, flats) = (self.inst, self.flats);
+        let (inst, f) = (self.inst, self.flats);
         let i = self.users.binary_search_by_key(&u, |e| e.0).ok()?;
         let stream = self.users[i].1.get_or_insert_with(|| {
-            let (run, from) = match flats {
-                Some(f) if u.index() < f.num_users() => (f.sorted_col(u), f.num_events()),
-                _ => ((&[][..], &[][..]), 0),
-            };
-            let tail = positive_tail(from..inst.num_events(), |v| inst.similarity(EventId(v), u));
-            Merge::new(run, tail)
+            let (old, from) = f.col_run(u.index());
+            let tail = positives(from..inst.num_events(), |v| inst.similarity(EventId(v), u));
+            Merge::new(
+                (&f.sorted_col_event[old.clone()], &f.sorted_col_sim[old]),
+                tail.collect(),
+            )
         });
         stream
             .next(|v| keep(EventId(v)))
@@ -1108,15 +882,26 @@ mod tests {
 
     #[test]
     fn extended_matches_scratch_build_bit_for_bit() {
-        // Grow 12×30 -> 17×41: old rows gain 11 users, 5 rows appear.
-        let old_inst = banded_prefix(12, 30);
-        let new_inst = banded_prefix(17, 41);
-        for t in [1, 4] {
-            let threads = Threads::new(t);
-            let old = GraphFlats::build(&old_inst, threads);
-            let grown = old.extended(&new_inst, threads);
+        // Grow 12×30 -> 17×41 (old rows gain 11 users, 5 rows appear),
+        // below the grain floor, so it runs inline; and 24×4,096 ->
+        // 64×12,288, which evaluates 688,128 cells, so 2 and 4 workers
+        // really fork and merge into old rows and columns.
+        const _: () = assert!(64 * 12_288 - 24 * 4_096 >= 4 * SIM_CELLS_PER_WORKER);
+        let growths = [
+            ((12, 30), (17, 41), [1, 4]),
+            ((24, 4_096), (64, 12_288), [2, 4]),
+        ];
+        for ((nv0, nu0), (nv1, nu1), thread_counts) in growths {
+            let (old_inst, new_inst) = (banded_prefix(nv0, nu0), banded_prefix(nv1, nu1));
             let scratch = GraphFlats::build(&new_inst, Threads::single());
-            assert!(grown.bit_eq(&scratch), "threads = {t}");
+            for t in thread_counts {
+                let threads = Threads::new(t);
+                let grown = GraphFlats::build(&old_inst, threads).extended(&new_inst, threads);
+                assert!(
+                    grown.bit_eq(&scratch),
+                    "{nv0}×{nu0} -> {nv1}×{nu1}, threads = {t}"
+                );
+            }
         }
     }
 
@@ -1160,7 +945,7 @@ mod tests {
         let built = GraphFlats::build(&new_inst, Threads::single());
         let events: Vec<EventId> = new_inst.events().collect();
         let users: Vec<UserId> = new_inst.users().collect();
-        for flats in [Some(&old), None] {
+        for flats in [&old, &GraphFlats::default()] {
             let mut streams = RegionStreams::new(&new_inst, flats, &events, &users);
             for &v in &events {
                 assert_eq!(drain_row(&mut streams, v), bits(built.sorted_row(v)));
@@ -1179,7 +964,8 @@ mod tests {
         let m = SimMatrix::from_rows(&[vec![0.5, 0.0, 0.9, 0.5, 0.2], vec![0.0; 5]]);
         let inst =
             Instance::from_matrix(m, vec![1, 1], vec![1; 5], ConflictGraph::empty(2)).unwrap();
-        let mut streams = RegionStreams::new(&inst, None, &[EventId(0), EventId(1)], &[]);
+        let empty = GraphFlats::default();
+        let mut streams = RegionStreams::new(&inst, &empty, &[EventId(0), EventId(1)], &[]);
         // Similarity descending, equal similarities by id ascending, and
         // the zero-similarity user never offered.
         let order: Vec<u32> = drain_row(&mut streams, EventId(0))
@@ -1190,7 +976,7 @@ mod tests {
         assert!(drain_row(&mut streams, EventId(1)).is_empty());
         // `keep` consumes what it rejects; a node outside the region has
         // no stream.
-        let mut streams = RegionStreams::new(&inst, None, &[EventId(0)], &[]);
+        let mut streams = RegionStreams::new(&inst, &empty, &[EventId(0)], &[]);
         assert_eq!(
             streams.next_user(EventId(0), |u| u.0 == 3),
             Some((UserId(3), 0.5))

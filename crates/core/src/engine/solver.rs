@@ -6,9 +6,7 @@
 //! free functions. The meter *is* the budget: pass
 //! [`BudgetMeter::unlimited`] for a classic run-to-completion solve
 //! (bit-identical to the historical meterless entry points), or a real
-//! budget for an anytime solve. Cancellation travels inside the meter
-//! ([`BudgetMeter::with_cancel`]), so dispatch needs no separate token
-//! argument.
+//! budget for an anytime solve.
 //!
 //! Status mapping is uniform and honest: a completed exact solver
 //! (Prune-GEACC, Exhaustive, Exact-DP) reports [`SolveStatus::Optimal`],

@@ -79,7 +79,6 @@ pub use model::conflict::{ConflictGraph, ConflictPairOutOfRange};
 pub use model::ids::{EventId, UserId};
 pub use model::instance::{Instance, InstanceBuilder, InstanceError, ValidationError};
 pub use runtime::{
-    BudgetMeter, CancelToken, FaultPlan, Outcome, SolveBudget, SolveStatus, SolverPipeline,
-    StopReason,
+    BudgetMeter, FaultPlan, Outcome, SolveBudget, SolveStatus, SolverPipeline, StopReason,
 };
 pub use similarity::{SimMatrix, SimilarityModel};

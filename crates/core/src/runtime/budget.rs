@@ -1,30 +1,30 @@
-//! Budgets, cooperative cancellation, and the meter the solvers poll.
+//! Budgets and the meter the solvers poll.
 //!
 //! A [`SolveBudget`] declares *limits* (wall-clock deadline, search-node
-//! budget, memory watermark); a [`BudgetMeter`] turns one budget into a
-//! shared, thread-safe *ledger* the algorithms tick from their hot loops
-//! (the Prune-GEACC recursion, the Greedy heap loop, the MinCostFlow
+//! budget); a [`BudgetMeter`] turns one budget into a shared,
+//! thread-safe *ledger* the algorithms tick from their hot loops (the
+//! Prune-GEACC recursion, the Greedy heap loop, the MinCostFlow
 //! augmentation sweep). A tick is one atomic increment plus, every
-//! [`CHECK_INTERVAL`] ticks, the expensive checks (clock read, memory
-//! probe, cancellation flag) — so budget enforcement costs nanoseconds
-//! per node and reacts within ~a millisecond of real work.
+//! [`CHECK_INTERVAL`] ticks, the expensive check (a clock read) — so
+//! budget enforcement costs nanoseconds per node and reacts within ~a
+//! millisecond of real work.
 //!
 //! Determinism: the node budget is enforced *exactly* at the configured
 //! count — every tick compares the running total — so a node-budgeted
-//! sequential run stops at the same tree node every time. Wall-clock and
-//! memory stops are inherently racy and make no such promise.
+//! sequential run stops at the same tree node every time. Wall-clock
+//! stops are inherently racy and make no such promise.
 //!
 //! Once any limit trips, the meter latches the first [`StopReason`]
 //! forever; every subsequent tick returns it immediately, which is what
 //! unwinds a deep recursion or a worker pool cooperatively.
 
 use crate::runtime::fault::FaultPlan;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Ticks between expensive checks (clock, memory, cancellation). Node
-/// budgets are exact and checked every tick regardless.
+/// Ticks between clock reads. Node budgets are exact and checked every
+/// tick regardless.
 pub const CHECK_INTERVAL: u64 = 1024;
 
 /// Resource limits for one solve. `None` everywhere (the default) means
@@ -37,9 +37,6 @@ pub struct SolveBudget {
     /// heap pops for Greedy, augmentations for MinCostFlow). Enforced
     /// exactly, so node-budgeted runs are deterministic.
     pub max_nodes: Option<u64>,
-    /// Working-set watermark in bytes, compared against the registered
-    /// [`set_memory_probe`] (or a fault-injected reading).
-    pub max_memory_bytes: Option<usize>,
 }
 
 impl SolveBudget {
@@ -47,7 +44,6 @@ impl SolveBudget {
     pub const UNLIMITED: SolveBudget = SolveBudget {
         deadline: None,
         max_nodes: None,
-        max_memory_bytes: None,
     };
 
     /// A pure wall-clock budget of `ms` milliseconds.
@@ -72,29 +68,6 @@ impl SolveBudget {
     }
 }
 
-/// A cooperative cancellation flag, shared between a controller thread
-/// and a running solve via `Arc`. Setting it stops every budgeted solver
-/// observing it within [`CHECK_INTERVAL`] ticks.
-#[derive(Debug, Default)]
-pub struct CancelToken(AtomicBool);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken(AtomicBool::new(false))
-    }
-
-    /// Request cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// Why a budgeted solve stopped before completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -102,10 +75,6 @@ pub enum StopReason {
     Deadline,
     /// The node budget was exhausted.
     NodeBudget,
-    /// The memory watermark was exceeded.
-    MemoryWatermark,
-    /// A [`CancelToken`] was triggered.
-    Cancelled,
     /// A search worker thread panicked; the run salvaged the surviving
     /// workers' incumbents instead of poisoning the process.
     WorkerPanicked,
@@ -116,9 +85,7 @@ impl StopReason {
         match code {
             1 => Some(StopReason::Deadline),
             2 => Some(StopReason::NodeBudget),
-            3 => Some(StopReason::MemoryWatermark),
-            4 => Some(StopReason::Cancelled),
-            5 => Some(StopReason::WorkerPanicked),
+            3 => Some(StopReason::WorkerPanicked),
             _ => None,
         }
     }
@@ -127,9 +94,7 @@ impl StopReason {
         match self {
             StopReason::Deadline => 1,
             StopReason::NodeBudget => 2,
-            StopReason::MemoryWatermark => 3,
-            StopReason::Cancelled => 4,
-            StopReason::WorkerPanicked => 5,
+            StopReason::WorkerPanicked => 3,
         }
     }
 }
@@ -139,45 +104,21 @@ impl std::fmt::Display for StopReason {
         f.write_str(match self {
             StopReason::Deadline => "deadline",
             StopReason::NodeBudget => "node budget",
-            StopReason::MemoryWatermark => "memory watermark",
-            StopReason::Cancelled => "cancelled",
             StopReason::WorkerPanicked => "worker panicked",
         })
     }
 }
 
-/// Process-wide working-set probe consulted by memory watermarks. The
-/// bench harness registers its tracking allocator here; tests register
-/// fakes. Unset (the default) reads as 0 bytes — watermarks without a
-/// probe (or a fault-injected reading) never trip.
-static MEMORY_PROBE: Mutex<Option<fn() -> usize>> = Mutex::new(None);
-
-/// Register the function memory watermarks read the current working-set
-/// size from. Global; last registration wins.
-pub fn set_memory_probe(probe: fn() -> usize) {
-    *MEMORY_PROBE.lock().expect("memory probe lock") = Some(probe);
-}
-
-fn probed_memory() -> usize {
-    MEMORY_PROBE
-        .lock()
-        .expect("memory probe lock")
-        .map_or(0, |probe| probe())
-}
-
 /// The live ledger of one budgeted solve: a shared node counter, the
-/// latched stop reason, and the optional cancellation and
-/// fault-injection hooks. One meter spans one solve *stage* — all its
+/// latched stop reason, and the optional fault-injection hook. One meter spans one solve *stage* — all its
 /// worker threads tick the same meter.
 #[derive(Debug)]
 pub struct BudgetMeter {
     started: Instant,
     deadline: Option<Instant>,
     max_nodes: u64,
-    max_memory: usize,
     nodes: AtomicU64,
     stop: AtomicU8,
-    cancel: Option<Arc<CancelToken>>,
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -189,10 +130,8 @@ impl BudgetMeter {
             started,
             deadline: budget.deadline.map(|d| started + d),
             max_nodes: budget.max_nodes.unwrap_or(u64::MAX),
-            max_memory: budget.max_memory_bytes.unwrap_or(usize::MAX),
             nodes: AtomicU64::new(0),
             stop: AtomicU8::new(0),
-            cancel: None,
             fault: None,
         }
     }
@@ -201,12 +140,6 @@ impl BudgetMeter {
     /// for callers that want the node count without enforcement.
     pub fn unlimited() -> Self {
         BudgetMeter::new(&SolveBudget::UNLIMITED)
-    }
-
-    /// Attach a cancellation token (checked every [`CHECK_INTERVAL`]).
-    pub fn with_cancel(mut self, cancel: Arc<CancelToken>) -> Self {
-        self.cancel = Some(cancel);
-        self
     }
 
     /// Attach a fault-injection plan (test harness; fires on every tick).
@@ -230,16 +163,16 @@ impl BudgetMeter {
         if n > self.max_nodes {
             self.trip(StopReason::NodeBudget);
         } else if n == 1 || n % CHECK_INTERVAL == 0 {
-            self.check_slow(n);
+            self.check_deadline();
         }
         self.stop_reason()
     }
 
     /// [`tick`][Self::tick] for loops whose single tick is *macroscopic*
     /// work — e.g. MinCostFlow's augmentation sweep, where one tick is a
-    /// whole shortest-path computation that can cost milliseconds. Runs
-    /// the expensive checks on every tick, so a deadline reacts within
-    /// one loop iteration instead of within [`CHECK_INTERVAL`] of them.
+    /// whole shortest-path computation that can cost milliseconds. Reads
+    /// the clock on every tick, so a deadline reacts within one loop
+    /// iteration instead of within [`CHECK_INTERVAL`] of them.
     /// Node counting, latching, and fault injection are identical to
     /// [`tick`][Self::tick].
     #[inline]
@@ -254,35 +187,19 @@ impl BudgetMeter {
         if n > self.max_nodes {
             self.trip(StopReason::NodeBudget);
         } else {
-            self.check_slow(n);
+            self.check_deadline();
         }
         self.stop_reason()
     }
 
-    /// The expensive checks, run on the first tick and then every
-    /// [`CHECK_INTERVAL`] ticks.
-    fn check_slow(&self, n: u64) {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.trip(StopReason::Deadline);
-                return;
-            }
-        }
-        if self.max_memory != usize::MAX {
-            let memory = self
-                .fault
-                .as_ref()
-                .and_then(|f| f.memory_at(n))
-                .unwrap_or_else(probed_memory);
-            if memory > self.max_memory {
-                self.trip(StopReason::MemoryWatermark);
-                return;
-            }
-        }
-        if let Some(cancel) = &self.cancel {
-            if cancel.is_cancelled() {
-                self.trip(StopReason::Cancelled);
-            }
+    /// Trip the deadline if it has passed: on the first tick and then
+    /// every [`CHECK_INTERVAL`] ticks (every tick for `tick_coarse`).
+    fn check_deadline(&self) {
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            self.trip(StopReason::Deadline);
         }
     }
 
@@ -383,14 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_trips_the_meter() {
-        let cancel = Arc::new(CancelToken::new());
-        cancel.cancel();
-        let meter = BudgetMeter::new(&SolveBudget::UNLIMITED).with_cancel(cancel);
-        assert_eq!(meter.tick(), Some(StopReason::Cancelled));
-    }
-
-    #[test]
     fn first_trip_wins() {
         let meter = BudgetMeter::new(&SolveBudget::from_max_nodes(1));
         assert_eq!(meter.tick(), None);
@@ -412,8 +321,6 @@ mod tests {
         for reason in [
             StopReason::Deadline,
             StopReason::NodeBudget,
-            StopReason::MemoryWatermark,
-            StopReason::Cancelled,
             StopReason::WorkerPanicked,
         ] {
             assert_eq!(StopReason::from_code(reason.code()), Some(reason));

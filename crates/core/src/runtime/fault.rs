@@ -19,14 +19,9 @@ enum Injection {
     PanicAtTick(u64),
     /// Sleep when the meter records exactly this tick.
     DelayAtTick { tick: u64, delay: Duration },
-    /// From this tick on, report this working-set size to memory
-    /// watermarks (overrides the global probe).
-    MemorySpikeFromTick { tick: u64, bytes: usize },
     /// Panic when the pipeline enters the named stage ("prune",
     /// "greedy", "random-v", …).
     PanicAtStage(String),
-    /// Sleep when the pipeline enters the named stage.
-    DelayAtStage { stage: String, delay: Duration },
 }
 
 /// A scripted set of failures, built fluently:
@@ -35,8 +30,8 @@ enum Injection {
 /// use geacc_core::runtime::FaultPlan;
 /// use std::time::Duration;
 /// let plan = FaultPlan::new()
-///     .panic_at_tick(5_000)
-///     .delay_at_stage("greedy", Duration::from_millis(5));
+///     .delay_at_tick(1_000, Duration::from_millis(5))
+///     .panic_at_stage("greedy");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
@@ -62,26 +57,9 @@ impl FaultPlan {
         self
     }
 
-    /// From `tick` on, memory watermarks read `bytes` as the current
-    /// working-set size (models an allocation spike).
-    pub fn memory_spike_from_tick(mut self, tick: u64, bytes: usize) -> Self {
-        self.injections
-            .push(Injection::MemorySpikeFromTick { tick, bytes });
-        self
-    }
-
     /// Panic as the pipeline enters the named stage.
     pub fn panic_at_stage(mut self, stage: impl Into<String>) -> Self {
         self.injections.push(Injection::PanicAtStage(stage.into()));
-        self
-    }
-
-    /// Sleep `delay` as the pipeline enters the named stage.
-    pub fn delay_at_stage(mut self, stage: impl Into<String>, delay: Duration) -> Self {
-        self.injections.push(Injection::DelayAtStage {
-            stage: stage.into(),
-            delay,
-        });
         self
     }
 
@@ -102,31 +80,13 @@ impl FaultPlan {
     }
 
     /// Runtime hook: fire stage-boundary injections. Called by
-    /// `SolverPipeline` as each stage starts; may panic or sleep.
+    /// `SolverPipeline` as each stage starts; may panic.
     pub fn on_stage_start(&self, stage: &str) {
         for injection in &self.injections {
-            match injection {
-                Injection::PanicAtStage(s) if s == stage => {
-                    panic!("fault injection: panic entering stage {stage:?}")
-                }
-                Injection::DelayAtStage { stage: s, delay } if s == stage => {
-                    std::thread::sleep(*delay)
-                }
-                _ => {}
+            if matches!(injection, Injection::PanicAtStage(s) if s == stage) {
+                panic!("fault injection: panic entering stage {stage:?}")
             }
         }
-    }
-
-    /// Runtime hook: the injected working-set reading at `tick`, if a
-    /// memory spike is active (the largest active spike wins).
-    pub fn memory_at(&self, tick: u64) -> Option<usize> {
-        self.injections
-            .iter()
-            .filter_map(|injection| match injection {
-                Injection::MemorySpikeFromTick { tick: t, bytes } if tick >= *t => Some(*bytes),
-                _ => None,
-            })
-            .max()
     }
 }
 
@@ -139,7 +99,6 @@ mod tests {
         let plan = FaultPlan::new();
         plan.on_tick(1);
         plan.on_stage_start("prune");
-        assert_eq!(plan.memory_at(1), None);
     }
 
     #[test]
@@ -156,16 +115,6 @@ mod tests {
         let plan = FaultPlan::new().panic_at_stage("greedy");
         plan.on_stage_start("prune");
         plan.on_stage_start("greedy");
-    }
-
-    #[test]
-    fn memory_spike_activates_from_its_tick() {
-        let plan = FaultPlan::new()
-            .memory_spike_from_tick(10, 1 << 20)
-            .memory_spike_from_tick(20, 1 << 30);
-        assert_eq!(plan.memory_at(9), None);
-        assert_eq!(plan.memory_at(10), Some(1 << 20));
-        assert_eq!(plan.memory_at(25), Some(1 << 30));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::algorithms::Algorithm;
 use crate::engine::{self, CandidateGraph, SolveParams};
 use crate::model::arrangement::Arrangement;
 use crate::parallel::Threads;
-use crate::runtime::budget::{BudgetMeter, CancelToken, SolveBudget};
+use crate::runtime::budget::{BudgetMeter, SolveBudget};
 use crate::runtime::fault::FaultPlan;
 use crate::runtime::outcome::{FallbackAlgo, Outcome, SolveStatus};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,7 +52,6 @@ pub struct SolverPipeline {
     threads: Threads,
     degrade_on_stop: bool,
     alns_refine: Option<SolveBudget>,
-    cancel: Option<Arc<CancelToken>>,
     fault: Option<Arc<FaultPlan>>,
     seed: u64,
 }
@@ -68,7 +67,6 @@ impl SolverPipeline {
             threads: Threads::single(),
             degrade_on_stop: false,
             alns_refine: None,
-            cancel: None,
             fault: None,
             seed: 0,
         }
@@ -102,13 +100,6 @@ impl SolverPipeline {
         self
     }
 
-    /// Attach a cooperative cancellation token (observed by every
-    /// stage's meter).
-    pub fn with_cancel(mut self, cancel: Arc<CancelToken>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// Attach a fault-injection plan (test harness).
     pub fn with_fault(mut self, fault: Arc<FaultPlan>) -> Self {
         self.fault = Some(fault);
@@ -127,14 +118,11 @@ impl SolverPipeline {
     }
 
     fn meter_for(&self, budget: &SolveBudget) -> BudgetMeter {
-        let mut meter = BudgetMeter::new(budget);
-        if let Some(cancel) = &self.cancel {
-            meter = meter.with_cancel(Arc::clone(cancel));
+        let meter = BudgetMeter::new(budget);
+        match &self.fault {
+            Some(fault) => meter.with_fault(Arc::clone(fault)),
+            None => meter,
         }
-        if let Some(fault) = &self.fault {
-            meter = meter.with_fault(Arc::clone(fault));
-        }
-        meter
     }
 
     /// Run a stage under panic isolation and feasibility audit: `Some`

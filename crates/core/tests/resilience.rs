@@ -1,5 +1,5 @@
-//! Resilience suite: budgets, cancellation, fault injection, and the
-//! degradation pipeline.
+//! Resilience suite: budgets, fault injection, and the degradation
+//! pipeline.
 //!
 //! The contracts under test:
 //!
@@ -22,8 +22,7 @@ use geacc_core::algorithms::{
 use geacc_core::engine::CandidateGraph;
 use geacc_core::parallel::Threads;
 use geacc_core::runtime::{
-    set_memory_probe, BudgetMeter, CancelToken, FallbackAlgo, FaultPlan, Provenance, SolveBudget,
-    SolveStatus, SolverPipeline, StopReason,
+    BudgetMeter, FallbackAlgo, FaultPlan, SolveBudget, SolveStatus, SolverPipeline, StopReason,
 };
 use geacc_core::{Arrangement, ConflictGraph, EventId, Instance, SimMatrix};
 use proptest::prelude::*;
@@ -258,97 +257,7 @@ fn zero_node_budget_returns_the_greedy_seed_incumbent() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Cancellation.
-// ---------------------------------------------------------------------
-
-#[test]
-fn pre_cancelled_token_stops_every_solver_on_the_first_tick() {
-    let inst = pathological_instance();
-    let cancel = Arc::new(CancelToken::new());
-    cancel.cancel();
-
-    let meter = BudgetMeter::unlimited().with_cancel(Arc::clone(&cancel));
-    let budgeted = prune_budgeted(&inst, PruneConfig::default(), &meter);
-    assert_eq!(budgeted.stopped, Some(StopReason::Cancelled));
-    assert!(budgeted.result.arrangement.validate(&inst).is_empty());
-
-    let meter = BudgetMeter::unlimited().with_cancel(Arc::clone(&cancel));
-    let (arr, stopped) = greedy_budgeted(&inst, GreedyConfig::default(), &meter);
-    assert_eq!(stopped, Some(StopReason::Cancelled));
-    assert!(arr.validate(&inst).is_empty());
-
-    let meter = BudgetMeter::unlimited().with_cancel(cancel);
-    let (result, stopped) = mincostflow_budgeted(&inst, McfConfig::default(), &meter);
-    assert_eq!(stopped, Some(StopReason::Cancelled));
-    assert!(result.arrangement.validate(&inst).is_empty());
-}
-
-#[test]
-fn mid_flight_cancellation_stops_a_parallel_exact_search() {
-    let inst = pathological_instance();
-    let cancel = Arc::new(CancelToken::new());
-    let canceller = Arc::clone(&cancel);
-    let handle = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(50));
-        canceller.cancel();
-    });
-    let meter = BudgetMeter::unlimited().with_cancel(cancel);
-    let budgeted = prune_budgeted(
-        &inst,
-        PruneConfig {
-            threads: Threads::new(4),
-            ..PruneConfig::default()
-        },
-        &meter,
-    );
-    handle.join().unwrap();
-    assert_eq!(budgeted.stopped, Some(StopReason::Cancelled));
-    assert!(budgeted.result.arrangement.validate(&inst).is_empty());
-}
-
-#[test]
-fn cross_thread_cancellation_stops_a_full_pipeline_promptly() {
-    // The serving path: a controller thread fires the token while the
-    // pipeline is deep in an otherwise-unbounded exact search on another
-    // thread. The pipeline must return promptly with a feasible
-    // incumbent whose status says *cancelled* — not optimal, not a
-    // silent success.
-    let inst = pathological_instance();
-    let cancel = Arc::new(CancelToken::new());
-    let pipeline = SolverPipeline::new(Algorithm::Prune, SolveBudget::UNLIMITED)
-        .with_threads(Threads::new(4))
-        .with_cancel(Arc::clone(&cancel));
-
-    let canceller = {
-        let cancel = Arc::clone(&cancel);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            cancel.cancel();
-        })
-    };
-    let start = Instant::now();
-    let outcome = pipeline.run(&inst);
-    let elapsed = start.elapsed();
-    canceller.join().unwrap();
-
-    // Unbudgeted, this search never finishes; cancellation must bring it
-    // back within check-interval latency, far under this generous bound.
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "cancellation took {elapsed:?}"
-    );
-    assert_eq!(
-        outcome.status,
-        SolveStatus::Feasible(Provenance::Incumbent(StopReason::Cancelled))
-    );
-    assert!(outcome.arrangement.validate(&inst).is_empty());
-    // The incumbent is never worse than the greedy seed the search
-    // started from.
-    assert!(outcome.arrangement.max_sum() >= geacc_core::algorithms::greedy(&inst).max_sum());
-}
-
-// ---------------------------------------------------------------------
-// 5. Fault injection: panics, delays, memory spikes.
+// 4. Fault injection: panics and delays.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -436,36 +345,6 @@ fn injected_delay_trips_the_deadline_deterministically() {
 }
 
 #[test]
-fn injected_memory_spike_trips_the_watermark() {
-    let inst = small_instance();
-    let fault = Arc::new(FaultPlan::new().memory_spike_from_tick(1, 2 << 20));
-    let budget = SolveBudget {
-        max_memory_bytes: Some(1 << 20),
-        ..SolveBudget::UNLIMITED
-    };
-    let meter = BudgetMeter::new(&budget).with_fault(fault);
-    let (arr, stopped) = greedy_budgeted(&inst, GreedyConfig::default(), &meter);
-    assert_eq!(stopped, Some(StopReason::MemoryWatermark));
-    assert!(arr.validate(&inst).is_empty());
-}
-
-#[test]
-fn global_memory_probe_feeds_watermarks() {
-    // The only test touching the global probe registry (last write wins
-    // process-wide). Without a fault override, the watermark reads it.
-    let inst = small_instance();
-    set_memory_probe(|| 8 << 20);
-    let budget = SolveBudget {
-        max_memory_bytes: Some(1 << 20),
-        ..SolveBudget::UNLIMITED
-    };
-    let meter = BudgetMeter::new(&budget);
-    let (arr, stopped) = greedy_budgeted(&inst, GreedyConfig::default(), &meter);
-    assert_eq!(stopped, Some(StopReason::MemoryWatermark));
-    assert!(arr.validate(&inst).is_empty());
-}
-
-#[test]
 fn faulty_primary_with_timeout_still_meets_the_acceptance_deadline() {
     // The ISSUE's acceptance shape, end to end at the library level:
     // pathological instance, 100 ms budget, degradation on — the caller
@@ -490,7 +369,7 @@ fn faulty_primary_with_timeout_still_meets_the_acceptance_deadline() {
 }
 
 // ---------------------------------------------------------------------
-// 6. Property: every pipeline outcome is feasible, whatever the budget.
+// 5. Property: every pipeline outcome is feasible, whatever the budget.
 // ---------------------------------------------------------------------
 
 /// A random matrix-specified instance, small enough for exact search.

@@ -1,9 +1,11 @@
 //! Pins of the three Greedy-GEACC frontiers on paper-scale instances:
 //! the full Greedy solve, ALNS's noisy region repair and the live
-//! arranger's repair. Each constant is a digest of the arrangements or
-//! repair reports the frontier produced, bit for bit, so a change to
-//! the frontier's order, tie-breaks, budget ticks or RNG draws shows
-//! here even when every self-comparison suite still agrees with itself.
+//! arranger's repair, and of the candidate graph's CSR they all read.
+//! Each constant is a digest of the arrangements, repair reports or
+//! CSR arrays produced, bit for bit, so a change to the frontier's
+//! order, tie-breaks, budget ticks or RNG draws, or to the CSR's
+//! layout, shows here even when every self-comparison suite still
+//! agrees with itself.
 //!
 //! Graphs are built on `GEACC_THREADS` workers; the pins hold at every
 //! worker count (CI runs this file at 1 and 4).
@@ -13,8 +15,8 @@ use geacc_core::engine::{CandidateGraph, SolveParams};
 use geacc_core::parallel::Threads;
 use geacc_core::runtime::{BudgetMeter, SolveBudget};
 use geacc_core::{
-    alns_on, AlnsConfig, Arrangement, DynamicConfig, EventId, IncrementalArranger, Instance,
-    Mutation, Side, UserId,
+    alns_on, AlnsConfig, Arrangement, ConflictGraph, DynamicConfig, EventId, IncrementalArranger,
+    Instance, Mutation, Side, SimMatrix, UserId,
 };
 use geacc_datagen::{City, MeetupConfig, SyntheticConfig};
 use rand::rngs::StdRng;
@@ -234,4 +236,89 @@ fn live_repair_on_a_mutation_stream() {
     const PIN: (u64, u64) = (14348032683864598348, 455726482087451976);
     assert_eq!((h.0, live.fingerprint()), PIN, "live session");
     assert_eq!((h_resumed.0, resumed.fingerprint()), PIN, "resumed session");
+}
+
+/// Digest of a candidate graph's CSR: its dimensions, then every
+/// event's id-ascending row and sorted row, then every user's sorted
+/// column, each as its length and its `(id, sim bits)` entries.
+fn csr_digest(graph: &CandidateGraph) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(graph.num_events() as u64);
+    h.mix(graph.num_users() as u64);
+    let mut run = |(ids, sims): (&[u32], &[f64])| {
+        h.mix(ids.len() as u64);
+        for (&id, s) in ids.iter().zip(sims) {
+            h.mix(id as u64);
+            h.mix(s.to_bits());
+        }
+    };
+    for v in 0..graph.num_events() as u32 {
+        run(graph.row(EventId(v)));
+        run(graph.sorted_row(EventId(v)));
+    }
+    for u in 0..graph.num_users() as u32 {
+        run(graph.sorted_col(UserId(u)));
+    }
+    h.0
+}
+
+/// A 64×8,192 matrix instance whose similarities are 0, ⅓, ⅔ or 1, so
+/// almost every place in a sorted row or column is decided by the id
+/// tie-break. At 524,288 cells it is above the build's grain floor.
+fn tie_heavy() -> Instance {
+    let (nv, nu) = (64, 8_192);
+    let mut rng = StdRng::seed_from_u64(2015);
+    let rows: Vec<Vec<f64>> = (0..nv)
+        .map(|_| {
+            (0..nu)
+                .map(|_| f64::from(rng.gen_range(0..4u32)) / 3.0)
+                .collect()
+        })
+        .collect();
+    Instance::from_matrix(
+        SimMatrix::from_rows(&rows),
+        vec![5; nv],
+        vec![2; nu],
+        ConflictGraph::empty(nv),
+    )
+    .expect("a valid matrix instance")
+}
+
+#[test]
+fn csr_of_builds() {
+    let digests = [fig3(), vancouver(), tie_heavy()]
+        .map(|inst| csr_digest(&CandidateGraph::build(&inst, Threads::from_env())));
+    assert_eq!(
+        digests,
+        [
+            16866269025921983000,
+            13004851682705773867,
+            11555157863164233392
+        ]
+    );
+}
+
+/// `epoch_flats` of a fig3 session under a seeded stream of all six
+/// mutation kinds, read after 40 mutations and again after 40 more: the
+/// first read extends the epoch-0 flats, the second extends those.
+#[test]
+fn csr_of_epoch_flats_on_a_growing_session() {
+    let mut arranger = IncrementalArranger::new(fig3(), DynamicConfig::default());
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut reports = Fnv::new();
+    let mut reads = Vec::new();
+    for _ in 0..2 {
+        drive(&mut arranger, &mut rng, 40, &mut reports);
+        let flats = arranger.epoch_flats(Threads::from_env());
+        let inst = arranger.instance();
+        let graph = CandidateGraph::from_flats(inst, flats);
+        reads.push((inst.num_events(), inst.num_users(), csr_digest(&graph)));
+    }
+    assert_eq!(
+        reads,
+        [
+            (110, 1005, 6638975588122831919),
+            (117, 1013, 10485237248923870321)
+        ]
+    );
 }

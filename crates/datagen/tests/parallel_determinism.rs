@@ -116,7 +116,7 @@ fn growth_mutation(seed: u64, inst: &Instance) -> Mutation {
 
 /// Fully drain every node's stream: each event's must be `built`'s
 /// sorted row and each user's its sorted column.
-fn assert_streams_match(inst: &Instance, flats: Option<&GraphFlats>, built: &GraphFlats) {
+fn assert_streams_match(inst: &Instance, flats: &GraphFlats, built: &GraphFlats) {
     let events: Vec<EventId> = inst.events().collect();
     let users: Vec<UserId> = inst.users().collect();
     let mut streams = RegionStreams::new(inst, flats, &events, &users);
@@ -198,7 +198,7 @@ proptest! {
 
     /// The streams live repair walks after a run of mutations that grow
     /// the instance — the epoch-0 flats the session keeps, merged with
-    /// the ids added since, or no flats at all, as after a resume — are
+    /// the ids added since, or the empty flats a resume holds — are
     /// exactly the sorted rows and columns of flats built from the live
     /// instance, in both directions, to exhaustion, at 1 and 4 workers.
     #[test]
@@ -216,8 +216,8 @@ proptest! {
         for t in [1usize, 4] {
             let built = GraphFlats::build(live, Threads::new(t));
             let epoch0 = GraphFlats::build(&base, Threads::new(t));
-            assert_streams_match(live, Some(&epoch0), &built);
-            assert_streams_match(live, None, &built);
+            assert_streams_match(live, &epoch0, &built);
+            assert_streams_match(live, &GraphFlats::default(), &built);
         }
     }
 }

@@ -60,8 +60,7 @@ pub use geacc_core::{
     SimMatrix, SimilarityModel, UserId, ValidationError, Violation,
 };
 pub use geacc_core::{
-    BudgetMeter, CancelToken, FaultPlan, Outcome, SolveBudget, SolveStatus, SolverPipeline,
-    StopReason,
+    BudgetMeter, FaultPlan, Outcome, SolveBudget, SolveStatus, SolverPipeline, StopReason,
 };
 
 /// The problem model and algorithms crate.

@@ -455,6 +455,18 @@ impl ServerMetrics {
 /// Serializable point-in-time metrics, returned by the `stats` op and
 /// dumped when the server drains. Latency quantiles are log₂-bucket
 /// upper bounds in microseconds.
+///
+/// Reading one back needs every field: the workspace's serde derive
+/// implements no field attributes, and a build that asks for one fails
+/// rather than silently ignoring it:
+///
+/// ```compile_fail
+/// #[derive(serde::Deserialize)]
+/// struct Stats {
+///     #[serde(default)]
+///     solve_batches: u64,
+/// }
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Requests handled, by op (ops never seen are omitted).
@@ -507,49 +519,33 @@ pub struct MetricsSnapshot {
     /// Times this primary fenced itself against writes.
     pub sup_fenced: u64,
     /// Solve batches dispatched by the coalescer.
-    #[serde(default)]
     pub solve_batches: u64,
     /// Individual solve requests carried by those batches.
-    #[serde(default)]
     pub solve_batch_requests: u64,
     /// Largest coalesced batch.
-    #[serde(default)]
     pub solve_batch_max: u64,
     /// Batch-size histogram (`le_01` … `gt_16`; empty buckets omitted).
-    #[serde(default)]
     pub solve_batch_sizes: BTreeMap<String, u64>,
     /// Epoch read snapshots built (one per state version read).
-    #[serde(default)]
     pub epoch_snapshots_built: u64,
     /// Reads served from an already-pinned epoch snapshot.
-    #[serde(default)]
     pub epoch_pinned_reads: u64,
     pub latency_count: u64,
     pub latency_p50_us: u64,
     pub latency_p95_us: u64,
     pub latency_p99_us: u64,
     /// Read-class (`query_*`/`stats`/`health`) latency split.
-    #[serde(default)]
     pub read_latency_count: u64,
-    #[serde(default)]
     pub read_latency_p50_us: u64,
-    #[serde(default)]
     pub read_latency_p95_us: u64,
-    #[serde(default)]
     pub read_latency_p99_us: u64,
     /// Mutate-class latency split.
-    #[serde(default)]
     pub mutate_latency_count: u64,
-    #[serde(default)]
     pub mutate_latency_p50_us: u64,
-    #[serde(default)]
     pub mutate_latency_p99_us: u64,
     /// Solve-class latency split.
-    #[serde(default)]
     pub solve_latency_count: u64,
-    #[serde(default)]
     pub solve_latency_p50_us: u64,
-    #[serde(default)]
     pub solve_latency_p99_us: u64,
 }
 

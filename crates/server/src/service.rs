@@ -28,9 +28,10 @@
 //! session's initial Greedy ran over, so a `load` builds it once.
 //! Growth mutations (`AddUser`/`AddEvent`) leave it behind; the next
 //! solve extends it through [`GraphFlats::extended`], which evaluates
-//! only the new pairs, once for every mutation since the last solve
-//! (bit-identity against a from-scratch build is property-tested in
-//! `crates/core/tests/graph_incremental.rs`).
+//! only the new pairs, once for every mutation since the last solve.
+//! A resumed session holds the empty flats, so its first solve extends
+//! those, which is a build. Bit-identity against a from-scratch build
+//! is property-tested in `crates/core/tests/graph_incremental.rs`.
 //!
 //! ## Durability
 //!

@@ -6,12 +6,14 @@
 #   one-second answer-checked run of each of its four workloads;
 # - clippy -D warnings, and cargo doc with warnings as errors;
 # - the engine differential-equivalence gate at 1 and 4 threads:
-#   engine_equiv, and the frontier pins (frontier_pin: Greedy-GEACC,
-#   ALNS repair and live repair on paper-scale instances, bit for bit);
+#   engine_equiv, and the frontier and CSR pins (frontier_pin:
+#   Greedy-GEACC, ALNS repair and live repair on paper-scale instances,
+#   and the candidate graph's CSR from builds and epoch extensions, bit
+#   for bit);
 # - the workspace test suite at two worker-pool sizes: GEACC_THREADS=1
 #   exercises every sequential code path, GEACC_THREADS=4 the
 #   scoped-thread parallel paths (including the resilience suite's
-#   worker-panic and mid-flight-cancellation scenarios, which behave
+#   worker-panic and mid-flight-deadline scenarios, which behave
 #   differently under contention);
 # - the non-blocking-reads gate (nonblocking_reads: read p99 under
 #   10 ms while a 2 s solve wedges the only worker, and identical
@@ -74,10 +76,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 
 echo "== engine differential-equivalence gate =="
 # The refactor contract: every algorithm through engine::solve_on is
-# bit-identical to the paper entry points, and the one Greedy-GEACC
+# bit-identical to the paper entry points; the one Greedy-GEACC
 # frontier (full solve, ALNS repair, live repair) reproduces its pinned
-# arrangements, tick placement, RNG draws and repair reports, at 1 and
-# 4 threads.
+# arrangements, tick placement, RNG draws and repair reports; and the
+# one CSR layout routine reproduces its pinned rows, sorted rows and
+# sorted columns, from builds and from extended epochs; at 1 and 4
+# threads.
 for threads in 1 4; do
     GEACC_THREADS=$threads cargo test -p geacc-core --test engine_equiv -q
     GEACC_THREADS=$threads cargo test -p geacc-datagen --test frontier_pin -q
